@@ -325,6 +325,9 @@ pub fn spawn(addr: &str, config: ServeConfig) -> std::io::Result<ServerHandle> {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
+                // Responses are small and latency-bound: send each frame
+                // as soon as it is written.
+                let _ = stream.set_nodelay(true);
                 let queue = Arc::clone(&queue);
                 let sessions = Arc::clone(&sessions);
                 // Session frames solve on the connection thread (they are
@@ -569,7 +572,9 @@ pub fn read_frame(stream: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     Ok(Some(payload))
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame as a single write, so the length
+/// prefix never leaves as a segment of its own (Nagle's algorithm would
+/// hold the payload until the peer's delayed ACK of the prefix).
 ///
 /// # Errors
 ///
@@ -581,8 +586,10 @@ pub fn write_frame(stream: &mut impl Write, payload: &[u8]) -> std::io::Result<(
             "frame exceeds the payload limit",
         ));
     }
-    stream.write_all(&(payload.len() as u32).to_le_bytes())?;
-    stream.write_all(payload)?;
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -885,4 +892,39 @@ pub fn request(
         .map_err(|e| e.to_string())?
         .ok_or_else(|| "connection closed before response".to_owned())?;
     decode_response(&payload)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sink that counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_writes_each_frame_once() {
+        for payload in [&b""[..], b"x", &[7u8; 1000]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).expect("frame");
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            let mut r = w.bytes.as_slice();
+            assert_eq!(read_frame(&mut r).expect("read").as_deref(), Some(payload));
+        }
+    }
 }

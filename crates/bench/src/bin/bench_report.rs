@@ -100,7 +100,7 @@ fn main() {
 
     // Template creation + value-only instantiation, in isolation.
     let t_template = median_ns(5, || {
-        SubstrateTemplate::new(&g, &cfg.params, &cfg.build).expect("template")
+        SubstrateTemplate::new(&g, &cfg.params, &cfg.build, cfg.lu).expect("template")
     });
     let plan = solver.plan(&g).expect("plan");
     let t_inst = median_ns(5, || plan.instance(&g).expect("instance"));
@@ -1076,7 +1076,6 @@ fn pr8_report() {
     use std::hint::black_box;
 
     use ohmflow::TemplateKey;
-    use ohmflow_circuit::Precision;
 
     println!("--- PR8 concurrent plan cache ---");
     let mut entries: Vec<(String, f64)> = Vec::new();
@@ -1089,7 +1088,6 @@ fn pr8_report() {
     // the fingerprint-first rewrite (BENCH_PR5.json, `plan_cache_hit`).
     const PR5_RECORDED_HIT_NS: [(&str, f64); 2] = [("rmat1024", 56502.0), ("rmat2048", 107744.0)];
 
-    let (ordering, precision) = (ColumnOrdering::default(), Precision::default());
     let mut speedups: Vec<(String, f64)> = Vec::new();
     for (name, g) in [
         ("rmat1024", fig10_instance(1024, false, 1)),
@@ -1115,12 +1113,8 @@ fn pr8_report() {
             }
             black_box(h.finish())
         });
-        let key_rebuild = median_ns(9, || {
-            black_box(TemplateKey::with_lu(black_box(&g), ordering, precision))
-        });
-        let fingerprint = median_ns(9, || {
-            black_box(TemplateKey::fingerprint(black_box(&g), ordering, precision))
-        });
+        let key_rebuild = median_ns(9, || black_box(TemplateKey::of(black_box(&g))));
+        let fingerprint = median_ns(9, || black_box(TemplateKey::fingerprint(black_box(&g))));
         let hit = median_ns(9, || solver.plan(&g).expect("plan").cache_hit());
         push(format!("{name}/siphash_rehash_baseline"), rehash);
         push(format!("{name}/key_rebuild"), key_rebuild);

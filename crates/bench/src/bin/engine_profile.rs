@@ -10,7 +10,7 @@ use ohmflow::solver::RelaxationEngine;
 use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow::{SubstrateParams, SubstrateTemplate};
 use ohmflow_bench::median_ns;
-use ohmflow_circuit::DcSolver;
+use ohmflow_circuit::{DcSolver, LuOptions};
 use ohmflow_graph::generators;
 
 fn main() {
@@ -42,9 +42,9 @@ fn main() {
     let t_cold = median_ns(9, || dcs.session(ckt).expect("session"));
     let t_numeric = median_ns(9, || dc_plan.session(ckt).expect("session"));
     let t_tpl = median_ns(5, || {
-        SubstrateTemplate::new(&g, &params, &bo).expect("template")
+        SubstrateTemplate::new(&g, &params, &bo, LuOptions::default()).expect("template")
     });
-    let sub_tpl = SubstrateTemplate::new(&g, &params, &bo).expect("template");
+    let sub_tpl = SubstrateTemplate::new(&g, &params, &bo, LuOptions::default()).expect("template");
     let t_inst = median_ns(9, || sub_tpl.instantiate(&g).expect("instantiate"));
     println!("--- cold-path phases ---");
     println!("substrate build                 : {t_build:>10.0} ns");

@@ -114,16 +114,6 @@ pub struct BuildOptions {
     /// cost of an `O(ε)` constraint softening that adds to the solution
     /// error. `0.0` disables the leak (quasi-static solves don't need it).
     pub constraint_leak: f64,
-    /// Column ordering for every LU factorization derived from this build
-    /// (templates, sessions, cold DC solves). Folded into the topology
-    /// template key, so caches never mix symbolic plans built under
-    /// different orderings. Defaults to AMD + block-triangular form.
-    pub lu_ordering: ohmflow_circuit::ColumnOrdering,
-    /// Numeric precision of those factorizations' stored values. Folded
-    /// into the topology template key alongside the ordering, so a cached
-    /// f32 plan is never handed to an f64 solve (or vice versa). Defaults
-    /// to full [`ohmflow_circuit::Precision::F64`].
-    pub lu_precision: ohmflow_circuit::Precision,
 }
 
 impl BuildOptions {
@@ -137,8 +127,6 @@ impl BuildOptions {
             drive: Drive::Dc,
             nic_margin: Some(0.0),
             constraint_leak: 0.0,
-            lu_ordering: ohmflow_circuit::ColumnOrdering::default(),
-            lu_precision: ohmflow_circuit::Precision::default(),
         }
     }
 
@@ -155,18 +143,6 @@ impl BuildOptions {
             drive: Drive::Step,
             nic_margin: Some(0.0),
             constraint_leak: 0.0,
-            lu_ordering: ohmflow_circuit::ColumnOrdering::default(),
-            lu_precision: ohmflow_circuit::Precision::default(),
-        }
-    }
-
-    /// The [`ohmflow_circuit::LuOptions`] this build implies: the chosen
-    /// ordering over otherwise-default factorization parameters.
-    pub fn lu_options(&self) -> ohmflow_circuit::LuOptions {
-        ohmflow_circuit::LuOptions {
-            ordering: self.lu_ordering,
-            precision: self.lu_precision,
-            ..Default::default()
         }
     }
 }

@@ -76,7 +76,7 @@ pub use solver::facade::{
     Instance, MaxFlowSolver, Plan, PlanReport, Problem, Session, SolveOptions,
 };
 pub use solver::{
-    AnalogConfig, AnalogMaxFlow, AnalogSolution, DeltaBatch, DeltaReport, DeltaSession, GraphDelta,
+    AnalogMaxFlow, AnalogSolution, DeltaBatch, DeltaReport, DeltaSession, GraphDelta,
     PlanCacheStats, RelaxationEngine, SolveMode,
 };
 pub use template::{SubstrateTemplate, TemplateKey};

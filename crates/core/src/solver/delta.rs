@@ -219,11 +219,10 @@ impl DeltaSession {
     /// Opens a session on `g` (used by
     /// [`MaxFlowSolver::delta_session`](crate::solver::facade::MaxFlowSolver::delta_session)).
     pub(crate) fn open(engine: AnalogMaxFlow, g: &FlowNetwork) -> Result<Self, AnalogError> {
-        let build = engine.effective_build_options();
-        let params = engine.config().params.clone();
-        let mapping = build.capacity_mapping;
-        let v_dd = params.v_dd;
-        let v_on = params.diode.v_on;
+        let opts = engine.options();
+        let mapping = opts.build.capacity_mapping;
+        let v_dd = opts.params.v_dd;
+        let v_on = opts.params.diode.v_on;
         let c_max = (g.max_capacity() as f64).max(1.0);
         let edges: Vec<SessionEdge> = g
             .edges()

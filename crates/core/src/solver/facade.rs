@@ -22,14 +22,10 @@
 //!   [`Instance::session`] opens an **incremental frozen-DC session** for
 //!   clamp-flip / transient work that pays only numeric updates per step.
 //!
-//! This is the one public solve surface: the legacy entry points
-//! (`AnalogMaxFlow::solve*`, the circuit crate's `DcAnalysis` /
-//! `FrozenDcSession` constructors) were pinned equivalent at 1e-12 by the
-//! `facade_equivalence` suite and then removed. The plan cache behind
-//! [`MaxFlowSolver::plan`] is sharded and concurrent (fingerprint-first
-//! lookups, single-flight cold paths, LRU eviction under
-//! [`SolveOptions::plan_cache_bytes`]); the `ohmflow-serve` binary wraps
-//! this facade as a multi-tenant network service.
+//! The plan cache behind [`MaxFlowSolver::plan`] is sharded and
+//! concurrent (fingerprint-first lookups, single-flight cold paths, LRU
+//! eviction under [`SolveOptions::plan_cache_bytes`]); the `ohmflow-serve`
+//! binary wraps this facade as a multi-tenant network service.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -48,92 +44,107 @@ use crate::AnalogError;
 
 use super::delta::DeltaSession;
 use super::{
-    AnalogConfig, AnalogMaxFlow, AnalogSolution, PlanCacheStats, RelaxationEngine, SolveMode,
-    SolverTuning, DEFAULT_CAPACITY_BYTES,
+    AnalogMaxFlow, AnalogSolution, PlanCacheStats, RelaxationEngine, SolveMode,
+    DEFAULT_CAPACITY_BYTES,
 };
 
-/// The one consolidated configuration of the staged solver, absorbing what
-/// used to be spread over `AnalogConfig`, `BuildOptions::lu_ordering`,
-/// `LuOptions`, `RelaxationEngine`, `RefactorStrategy` and the session
-/// phase-timing toggle.
-///
-/// **Option precedence:** [`SolveOptions::lu`] is the single source of
-/// truth for factorization options. On [`MaxFlowSolver::new`] the options
-/// are normalized — `build.lu_ordering` is overwritten with `lu.ordering`
-/// — so the topology cache key, every template's symbolic plan and every
-/// fallback fresh factorization agree on one ordering by construction.
+/// The configuration of the staged solver: substrate parameters, circuit
+/// construction, simulation mode, factorization options and the plan-cache
+/// budget. [`MaxFlowSolver::new`] resolves it once (the solve mode fixes
+/// parts of the build shape) and [`MaxFlowSolver::options`] returns the
+/// resolved copy the solver runs under.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveOptions {
     /// Substrate design parameters (Table 1).
     pub params: SubstrateParams,
-    /// Circuit construction options. `build.lu_ordering` is kept in sync
-    /// with [`SolveOptions::lu`] (see the precedence note above).
+    /// Circuit construction options.
     pub build: BuildOptions,
     /// Simulation mode.
     pub mode: SolveMode,
-    /// Convergence band for the §5.1 settle-time measurement.
+    /// Convergence band for the §5.1 settle-time measurement (0.001 =
+    /// "within 0.1 % of the final value").
     pub settle_fraction: f64,
     /// Relaxation-transient solve backend.
     pub engine: RelaxationEngine,
-    /// Factorization options (column ordering, pivoting thresholds) for
-    /// every LU in the stack — plans, sessions, cold fallbacks.
+    /// Factorization options (column ordering, pivoting thresholds,
+    /// stored precision) for every LU in the stack — plans, sessions,
+    /// cold fallbacks.
     pub lu: LuOptions,
     /// How numeric refactorizations schedule their column replay.
     pub refactor: RefactorStrategy,
     /// Per-phase wall-clock attribution on sessions (off by default:
     /// clock reads tax small systems).
     pub phase_timing: bool,
-    /// Byte capacity of the sharded plan cache (LRU eviction engages
-    /// above it; each resident plan is costed from its factorization
-    /// fill). The default is generous — eviction only matters for
-    /// long-running multi-tenant servers cycling through many topologies.
+    /// Byte budget of the sharded plan cache; LRU eviction engages above
+    /// it. The budget counts an estimate per resident plan of
+    /// `factor_nnz × 16 + edges × 64 + 4096` bytes, which undercounts
+    /// small plans: servebench measured plans of 10–40 vertices holding
+    /// about ten times their estimate. The default is generous — eviction
+    /// only matters for long-running multi-tenant servers cycling through
+    /// many topologies.
     pub plan_cache_bytes: usize,
 }
 
 impl SolveOptions {
     /// Ideal configuration: exact capacities, ideal negative resistors,
-    /// quasi-static solve (see [`AnalogConfig::ideal`]).
+    /// quasi-static solve. Under these assumptions the substrate solves
+    /// max-flow *optimally* (§2.3's proof), which the test-suite checks.
+    ///
+    /// Note on `V_flow`: §2.3 proves the solution increases monotonically
+    /// with `V_flow` and saturates at the max-flow optimum once every
+    /// binding constraint is clamped. Table 1's 3 V assumes the paper's
+    /// unnormalized voltage scale; with capacities normalized into
+    /// `[0, V_dd]` more headroom is needed, so the solver configurations
+    /// drive at `50 × V_dd` (documented deviation, see `DESIGN.md`).
     pub fn ideal() -> Self {
-        Self::from_config(AnalogConfig::ideal())
-    }
-
-    /// The §5.1 evaluation configuration (see [`AnalogConfig::evaluation`]).
-    pub fn evaluation(gbw_hz: f64) -> Self {
-        Self::from_config(AnalogConfig::evaluation(gbw_hz))
-    }
-
-    /// Like [`SolveOptions::evaluation`] but solved quasi-statically (see
-    /// [`AnalogConfig::evaluation_quasi_static`]).
-    pub fn evaluation_quasi_static(gbw_hz: f64) -> Self {
-        Self::from_config(AnalogConfig::evaluation_quasi_static(gbw_hz))
-    }
-
-    /// Lifts a legacy [`AnalogConfig`] into the consolidated options
-    /// (factorization options derived from the build's ordering, default
-    /// refactor scheduling, phase timing off).
-    pub fn from_config(config: AnalogConfig) -> Self {
+        let mut params = SubstrateParams::table1();
+        params.v_flow = 50.0 * params.v_dd;
         SolveOptions {
-            lu: config.build.lu_options(),
-            params: config.params,
-            build: config.build,
-            mode: config.mode,
-            settle_fraction: config.settle_fraction,
-            engine: config.engine,
+            params,
+            build: BuildOptions::ideal(),
+            mode: SolveMode::QuasiStatic,
+            settle_fraction: 1e-3,
+            engine: RelaxationEngine::default(),
+            lu: LuOptions::default(),
             refactor: RefactorStrategy::default(),
             phase_timing: false,
             plan_cache_bytes: DEFAULT_CAPACITY_BYTES,
         }
     }
 
-    /// Sets the LU column ordering (through [`SolveOptions::lu`], the
-    /// single source of truth).
+    /// The §5.1 evaluation configuration: Table 1 parameters with the given
+    /// GBW, quantized capacities, op-amp NICs, parasitics, transient solve.
+    pub fn evaluation(gbw_hz: f64) -> Self {
+        let mut params = SubstrateParams::with_gbw(gbw_hz);
+        params.v_flow = 50.0 * params.v_dd; // see `ideal()` on drive headroom
+        SolveOptions {
+            build: BuildOptions::evaluation(&params),
+            params,
+            mode: SolveMode::Transient {
+                window: None,
+                dt: None,
+            },
+            ..Self::ideal()
+        }
+    }
+
+    /// Like [`SolveOptions::evaluation`] but solved quasi-statically — same
+    /// solution quality (quantization + finite gain), no transient cost.
+    /// Used by error sweeps over many instances.
+    pub fn evaluation_quasi_static(gbw_hz: f64) -> Self {
+        let mut opts = Self::evaluation(gbw_hz);
+        opts.mode = SolveMode::QuasiStatic;
+        opts.build.parasitics = false;
+        opts
+    }
+
+    /// Sets the LU column ordering.
     pub fn with_ordering(mut self, ordering: ColumnOrdering) -> Self {
         self.lu.ordering = ordering;
         self
     }
 
-    /// Sets the numeric precision of the stored factor values (through
-    /// [`SolveOptions::lu`], the single source of truth).
+    /// Sets the numeric precision of the stored factor values.
     /// [`Precision::F32Refined`](ohmflow_circuit::Precision) halves the
     /// factor's memory traffic and relies on the DC layer's f64
     /// iterative refinement to recover full accuracy.
@@ -166,46 +177,14 @@ impl SolveOptions {
         self
     }
 
-    /// Sets the plan cache's byte capacity (LRU eviction engages above
-    /// it). Long-running servers cycling through many topologies set this
-    /// to bound resident symbolic state; short-lived solvers keep the
+    /// Sets the plan cache's byte budget (see
+    /// [`SolveOptions::plan_cache_bytes`] for what it counts).
+    /// Long-running servers cycling through many topologies set this to
+    /// bound resident symbolic state; short-lived solvers keep the
     /// generous default.
     pub fn with_plan_cache_bytes(mut self, bytes: usize) -> Self {
         self.plan_cache_bytes = bytes;
         self
-    }
-
-    /// The options with the precedence rule applied: `build.lu_ordering`
-    /// and `build.lu_precision` are overwritten with `lu.ordering` /
-    /// `lu.precision`, so the build/template layer can never disagree
-    /// with the factorization layer about the ordering or the stored
-    /// scalar.
-    pub fn normalized(&self) -> Self {
-        let mut n = self.clone();
-        n.build.lu_ordering = n.lu.ordering;
-        n.build.lu_precision = n.lu.precision;
-        n
-    }
-
-    /// Splits the options into the engine's legacy configuration plus the
-    /// tuning it never expressed. Callers normalize first
-    /// ([`SolveOptions::normalized`]).
-    fn into_parts(self) -> (AnalogConfig, SolverTuning) {
-        (
-            AnalogConfig {
-                params: self.params,
-                build: self.build,
-                mode: self.mode,
-                settle_fraction: self.settle_fraction,
-                engine: self.engine,
-            },
-            SolverTuning {
-                lu: Some(self.lu),
-                refactor: self.refactor,
-                phase_timing: self.phase_timing,
-                plan_cache_bytes: Some(self.plan_cache_bytes),
-            },
-        )
     }
 }
 
@@ -231,7 +210,6 @@ impl SolveOptions {
 #[derive(Debug, Clone)]
 pub struct MaxFlowSolver {
     engine: AnalogMaxFlow,
-    opts: SolveOptions,
 }
 
 /// One unit of work for [`MaxFlowSolver::solve_problem`] /
@@ -261,26 +239,22 @@ impl<'a> From<&'a FlowNetwork> for Problem<'a> {
 }
 
 impl MaxFlowSolver {
-    /// Creates a staged solver from consolidated options (normalizing them
-    /// first — see [`SolveOptions::normalized`]).
+    /// Creates a staged solver under `opts`, resolving the build shape
+    /// the solve mode implies (see [`MaxFlowSolver::options`]).
     pub fn new(opts: SolveOptions) -> Self {
-        let opts = opts.normalized();
-        let (config, tuning) = opts.clone().into_parts();
         MaxFlowSolver {
-            engine: AnalogMaxFlow::with_tuning(config, tuning),
-            opts,
+            engine: AnalogMaxFlow::new(opts),
         }
     }
 
-    /// A staged solver over a legacy [`AnalogConfig`] — shorthand for
-    /// `MaxFlowSolver::new(SolveOptions::from_config(config))`.
-    pub fn from_config(config: AnalogConfig) -> Self {
-        Self::new(SolveOptions::from_config(config))
-    }
-
-    /// The normalized options this solver runs under.
+    /// The options this solver runs under, exactly: the `build` shape is
+    /// resolved against the solve mode (quasi-static solves drive DC;
+    /// transient solves replace a DC drive with a step; the relaxation
+    /// transient builds ideal negative resistors without parasitics).
+    /// `MaxFlowSolver::new(solver.options().clone())` builds a solver
+    /// under the same options (with a cache of its own).
     pub fn options(&self) -> &SolveOptions {
-        &self.opts
+        self.engine.options()
     }
 
     /// The underlying engine (legacy interop: its template cache is this
@@ -392,9 +366,7 @@ impl MaxFlowSolver {
         let problems: Vec<Problem<'a>> = problems.into_iter().collect();
         let engine = &self.engine;
         // The full-MNA ablation has no templated path at all.
-        let full_mna = matches!(engine.config().mode, SolveMode::TransientFullMna { .. });
-        let build_opts = engine.effective_build_options();
-        let (ordering, precision) = (build_opts.lu_ordering, build_opts.lu_precision);
+        let full_mna = matches!(engine.options().mode, SolveMode::TransientFullMna { .. });
 
         // Graph grouping: fingerprint every graph member in one streaming
         // pass each (no intermediate edge Vec), count topologies, then
@@ -409,9 +381,7 @@ impl MaxFlowSolver {
         let fps: Vec<Option<u64>> = problems
             .iter()
             .map(|p| match p {
-                Problem::Graph(g) if !full_mna => {
-                    Some(TemplateKey::fingerprint(g, ordering, precision))
-                }
+                Problem::Graph(g) if !full_mna => Some(TemplateKey::fingerprint(g)),
                 _ => None,
             })
             .collect();
@@ -449,7 +419,7 @@ impl MaxFlowSolver {
             .collect();
         let shared: Option<Arc<DcTemplate>> = (built.len() >= 2
             && template::uniform_structure(&built))
-        .then(|| DcTemplate::with_options(built[0].circuit(), engine.effective_lu_options()).ok())
+        .then(|| DcTemplate::with_options(built[0].circuit(), engine.options().lu).ok())
         .flatten()
         .map(Arc::new);
 
@@ -522,8 +492,7 @@ impl Plan {
     }
 
     /// The factorization options the plan's symbolic work was built under
-    /// — always the normalized [`SolveOptions::lu`], never a divergent
-    /// copy (the option-precedence guarantee).
+    /// — always the owning solver's [`SolveOptions::lu`].
     pub fn lu_options(&self) -> &LuOptions {
         self.tpl.dc_template().lu_options()
     }

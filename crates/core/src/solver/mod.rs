@@ -7,9 +7,7 @@
 //! procedure. The **public staged API** lives in [`facade`]:
 //! [`MaxFlowSolver`](facade::MaxFlowSolver) →
 //! [`Plan`](facade::Plan) → [`Instance`](facade::Instance) →
-//! [`Session`](facade::Session) — the one public solve surface (the
-//! deprecated `AnalogMaxFlow` solve shims were removed after the facade
-//! was pinned equivalent by the `facade_equivalence` suite).
+//! [`Session`](facade::Session) — the one public solve surface.
 //!
 //! The engine's plan cache (`plan_cache`) is sharded and concurrent:
 //! fingerprint-first lookups, single-flight cold paths, per-shard LRU
@@ -20,15 +18,12 @@ use std::sync::Arc;
 
 use ohmflow_circuit::{
     solve_frozen_dc, Circuit, CircuitError, DcSolver, DcTemplate, ElementId, FrozenDcCache,
-    FrozenDcSession, LuOptions, NodeId, RefactorStrategy, SolveReport, TransientAnalysis,
-    TransientOptions, Waveform, WaveformSet,
+    FrozenDcSession, NodeId, SolveReport, TransientAnalysis, TransientOptions, Waveform,
+    WaveformSet,
 };
 use ohmflow_graph::FlowNetwork;
 
-use crate::builder::{
-    self, BuildOptions, BuildStats, Drive, NegativeResistorImpl, SubstrateCircuit,
-};
-use crate::params::SubstrateParams;
+use crate::builder::{self, BuildStats, Drive, NegativeResistorImpl, SubstrateCircuit};
 use crate::template::{self, SubstrateTemplate, TemplateKey};
 use crate::AnalogError;
 
@@ -38,6 +33,7 @@ mod plan_cache;
 pub(crate) mod verify;
 
 pub use delta::{DeltaBatch, DeltaReport, DeltaSession, GraphDelta};
+use facade::SolveOptions;
 pub use plan_cache::PlanCacheStats;
 pub(crate) use plan_cache::{PlanCache, DEFAULT_CAPACITY_BYTES};
 
@@ -114,94 +110,6 @@ pub enum RelaxationEngine {
     FullRefactor,
 }
 
-/// Full configuration of an [`AnalogMaxFlow`] solver.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AnalogConfig {
-    /// Substrate design parameters (Table 1).
-    pub params: SubstrateParams,
-    /// Circuit construction options.
-    pub build: BuildOptions,
-    /// Simulation mode.
-    pub mode: SolveMode,
-    /// Convergence band for the §5.1 settle-time measurement (0.001 =
-    /// "within 0.1 % of the final value").
-    pub settle_fraction: f64,
-    /// Relaxation-transient solve backend.
-    pub engine: RelaxationEngine,
-}
-
-impl AnalogConfig {
-    /// Ideal configuration: exact capacities, ideal negative resistors,
-    /// quasi-static solve. Under these assumptions the substrate solves
-    /// max-flow *optimally* (§2.3's proof), which the test-suite checks.
-    ///
-    /// Note on `V_flow`: §2.3 proves the solution increases monotonically
-    /// with `V_flow` and saturates at the max-flow optimum once every
-    /// binding constraint is clamped. Table 1's 3 V assumes the paper's
-    /// unnormalized voltage scale; with capacities normalized into
-    /// `[0, V_dd]` more headroom is needed, so the solver configurations
-    /// drive at `50 × V_dd` (documented deviation, see `DESIGN.md`).
-    pub fn ideal() -> Self {
-        let mut params = SubstrateParams::table1();
-        params.v_flow = 50.0 * params.v_dd;
-        AnalogConfig {
-            params,
-            build: BuildOptions::ideal(),
-            mode: SolveMode::QuasiStatic,
-            settle_fraction: 1e-3,
-            engine: RelaxationEngine::default(),
-        }
-    }
-
-    /// The §5.1 evaluation configuration: Table 1 parameters with the given
-    /// GBW, quantized capacities, op-amp NICs, parasitics, transient solve.
-    pub fn evaluation(gbw_hz: f64) -> Self {
-        let mut params = SubstrateParams::with_gbw(gbw_hz);
-        params.v_flow = 50.0 * params.v_dd; // see `ideal()` on drive headroom
-        let build = BuildOptions::evaluation(&params);
-        AnalogConfig {
-            params,
-            build,
-            mode: SolveMode::Transient {
-                window: None,
-                dt: None,
-            },
-            settle_fraction: 1e-3,
-            engine: RelaxationEngine::default(),
-        }
-    }
-
-    /// Like [`AnalogConfig::evaluation`] but solved quasi-statically — same
-    /// solution quality (quantization + finite gain), no transient cost.
-    /// Used by error sweeps over many instances.
-    pub fn evaluation_quasi_static(gbw_hz: f64) -> Self {
-        let mut cfg = Self::evaluation(gbw_hz);
-        cfg.mode = SolveMode::QuasiStatic;
-        cfg.build.parasitics = false;
-        cfg
-    }
-}
-
-/// Facade-level linear-algebra tuning carried by the engine: the pieces of
-/// [`facade::SolveOptions`] that [`AnalogConfig`] never expressed. The
-/// legacy constructors leave it at the defaults, so shim and facade paths
-/// share one code path.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct SolverTuning {
-    /// Full factorization-options override. `None` derives the options
-    /// from the build's `lu_ordering` (the legacy behavior); the facade
-    /// sets `Some` so [`facade::SolveOptions::lu`] is the single source of
-    /// truth.
-    pub lu: Option<LuOptions>,
-    /// Numeric-refactorization scheduling for every session the engine
-    /// creates.
-    pub refactor: RefactorStrategy,
-    /// Per-phase wall-clock attribution on engine-created sessions.
-    pub phase_timing: bool,
-    /// Plan-cache byte capacity (`None` = [`DEFAULT_CAPACITY_BYTES`]).
-    pub plan_cache_bytes: Option<usize>,
-}
-
 /// Result of an analog max-flow solve.
 #[derive(Debug, Clone)]
 pub struct AnalogSolution {
@@ -242,38 +150,46 @@ pub struct AnalogSolution {
 /// [`facade::MaxFlowSolver`] staged API).
 #[derive(Debug, Clone)]
 pub struct AnalogMaxFlow {
-    config: AnalogConfig,
+    /// The options this engine runs under, with the mode-implied build
+    /// shape resolved at construction.
+    opts: SolveOptions,
     /// The sharded topology-keyed plan cache, shared across clones (and
     /// therefore across threads; shard locks are held only for probes and
     /// inserts, never across a symbolic build or a solve).
     cache: Arc<PlanCache>,
-    /// Facade-injected linear-algebra tuning (defaults for the legacy
-    /// constructors).
-    tuning: SolverTuning,
 }
 
 impl AnalogMaxFlow {
-    /// Creates a solver with the given configuration.
-    pub fn new(config: AnalogConfig) -> Self {
-        Self::with_tuning(config, SolverTuning::default())
-    }
-
-    /// [`AnalogMaxFlow::new`] with facade-level tuning — how
-    /// [`facade::MaxFlowSolver`] threads the [`facade::SolveOptions`]
-    /// pieces `AnalogConfig` cannot express.
-    pub(crate) fn with_tuning(config: AnalogConfig, tuning: SolverTuning) -> Self {
+    /// Creates an engine under `opts`, resolving the build shape the solve
+    /// mode implies once: quasi-static solves need a DC drive; transient
+    /// solves keep a user-chosen step or soft-start ramp and only replace
+    /// an incompatible DC drive with the default step; and the relaxation
+    /// model solves frozen-state DC points along the way, so it uses ideal
+    /// negative resistors without parasitics (exact in DC). Every plan
+    /// and solve of the engine then runs under exactly
+    /// [`AnalogMaxFlow::options`].
+    pub(crate) fn new(mut opts: SolveOptions) -> Self {
+        let build = &mut opts.build;
+        build.drive = match (opts.mode, build.drive) {
+            (SolveMode::QuasiStatic, _) => Drive::Dc,
+            (SolveMode::Transient { .. } | SolveMode::TransientFullMna { .. }, Drive::Dc) => {
+                Drive::Step
+            }
+            (_, d) => d,
+        };
+        if matches!(opts.mode, SolveMode::Transient { .. }) {
+            build.negative_resistor = NegativeResistorImpl::Ideal;
+            build.parasitics = false;
+        }
         AnalogMaxFlow {
-            config,
-            cache: Arc::new(PlanCache::new(
-                tuning.plan_cache_bytes.unwrap_or(DEFAULT_CAPACITY_BYTES),
-            )),
-            tuning,
+            cache: Arc::new(PlanCache::new(opts.plan_cache_bytes)),
+            opts,
         }
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &AnalogConfig {
-        &self.config
+    /// The resolved options every solve of this engine runs under.
+    pub fn options(&self) -> &SolveOptions {
+        &self.opts
     }
 
     /// Audits the plan cache's shard invariants (LRU byte accounting,
@@ -288,51 +204,19 @@ impl AnalogMaxFlow {
         self.cache.audit()
     }
 
-    /// The factorization options every LU in this solver runs under: the
-    /// facade's override when present, otherwise derived from the build
-    /// options' ordering. One accessor so no path can pick a divergent
-    /// copy.
-    pub(crate) fn effective_lu_options(&self) -> LuOptions {
-        self.tuning
-            .lu
-            .unwrap_or_else(|| self.effective_build_options().lu_options())
-    }
-
     /// The circuit-level staged solver configured exactly as this engine:
     /// same factorization options, refactor scheduling and phase timing.
     fn dc_solver(&self) -> DcSolver {
         DcSolver::new()
-            .lu_options(self.effective_lu_options())
-            .refactor_strategy(self.tuning.refactor)
-            .phase_timing(self.tuning.phase_timing)
-    }
-
-    /// The build options [`AnalogMaxFlow::solve`] actually uses: the solve
-    /// mode constrains the drive shape (quasi-static needs DC; transient
-    /// keeps a user-chosen step or soft-start ramp and only replaces an
-    /// incompatible DC drive with the default step), and the relaxation
-    /// model solves frozen-state DC points along the way, so it uses ideal
-    /// negative resistors internally (exact in DC).
-    fn effective_build_options(&self) -> BuildOptions {
-        let mut build = self.config.build;
-        build.drive = match (self.config.mode, build.drive) {
-            (SolveMode::QuasiStatic, _) => Drive::Dc,
-            (SolveMode::Transient { .. } | SolveMode::TransientFullMna { .. }, Drive::Dc) => {
-                Drive::Step
-            }
-            (_, d) => d,
-        };
-        if matches!(self.config.mode, SolveMode::Transient { .. }) {
-            build.negative_resistor = NegativeResistorImpl::Ideal;
-            build.parasitics = false;
-        }
-        build
+            .lu_options(self.opts.lu)
+            .refactor_strategy(self.opts.refactor)
+            .phase_timing(self.opts.phase_timing)
     }
 
     /// Returns the cached [`SubstrateTemplate`] for `g`'s topology,
     /// building (and caching) it on first use. The template is constructed
-    /// with this solver's effective build options, so plan-path solves
-    /// agree with cold-path solves by construction.
+    /// under this solver's options, so plan-path solves agree with
+    /// cold-path solves by construction.
     ///
     /// # Errors
     ///
@@ -347,25 +231,13 @@ impl AnalogMaxFlow {
         &self,
         g: &FlowNetwork,
     ) -> Result<(Arc<SubstrateTemplate>, bool), AnalogError> {
-        let build_opts = self.effective_build_options();
-        let (ordering, precision) = (build_opts.lu_ordering, build_opts.lu_precision);
         // The hot path: one streaming fingerprint pass over the graph, one
-        // sharded probe verified against the full stored key. Cold paths
-        // run single-flight outside the shard lock; the full effective
-        // factorization options (pivoting thresholds included) flow into
-        // the template so the plan path can never factor under different
-        // options than the cold path.
-        let fingerprint = TemplateKey::fingerprint(g, ordering, precision);
-        self.cache
-            .get_or_build(fingerprint, g, ordering, precision, || {
-                SubstrateTemplate::with_lu_options(
-                    g,
-                    &self.config.params,
-                    &build_opts,
-                    self.effective_lu_options(),
-                )
+        // sharded probe verified against the stored topology. Cold paths
+        // run single-flight outside the shard lock.
+        self.cache.get_or_build(TemplateKey::fingerprint(g), g, || {
+            SubstrateTemplate::new(g, &self.opts.params, &self.opts.build, self.opts.lu)
                 .map(Arc::new)
-            })
+        })
     }
 
     /// Aggregate plan-cache counters (hits/misses/evictions + residency) —
@@ -385,9 +257,8 @@ impl AnalogMaxFlow {
     /// the configured mode — the body of
     /// [`facade::MaxFlowSolver::solve_fresh`].
     pub(crate) fn solve_cold(&self, g: &FlowNetwork) -> Result<AnalogSolution, AnalogError> {
-        let build = self.effective_build_options();
-        let sc = builder::build(g, &self.config.params, &build)?;
-        match self.config.mode {
+        let sc = builder::build(g, &self.opts.params, &self.opts.build)?;
+        match self.opts.mode {
             SolveMode::QuasiStatic => self.solve_quasi_static(&sc, None),
             SolveMode::Transient { window, dt } => {
                 self.solve_transient_relaxation(&sc, g.vertex_count(), window, dt)
@@ -408,7 +279,7 @@ impl AnalogMaxFlow {
         &self,
         g: &FlowNetwork,
     ) -> Result<AnalogSolution, AnalogError> {
-        if matches!(self.config.mode, SolveMode::TransientFullMna { .. }) {
+        if matches!(self.opts.mode, SolveMode::TransientFullMna { .. }) {
             return self.solve_cold(g);
         }
         // Adaptive path choice: small instances only ride a plan that
@@ -430,10 +301,7 @@ impl AnalogMaxFlow {
     /// The cached template for `g`'s topology if one is resident — a pure
     /// probe: never builds, never waits on an in-flight cold path.
     pub(crate) fn cached_template_for(&self, g: &FlowNetwork) -> Option<Arc<SubstrateTemplate>> {
-        let build_opts = self.effective_build_options();
-        let (ordering, precision) = (build_opts.lu_ordering, build_opts.lu_precision);
-        let fingerprint = TemplateKey::fingerprint(g, ordering, precision);
-        self.cache.peek(fingerprint, g, ordering, precision)
+        self.cache.peek(TemplateKey::fingerprint(g), g)
     }
 
     /// Simulates one template instantiation in the configured mode — the
@@ -444,7 +312,7 @@ impl AnalogMaxFlow {
         tpl: &SubstrateTemplate,
         n_vertices: usize,
     ) -> Result<AnalogSolution, AnalogError> {
-        match self.config.mode {
+        match self.opts.mode {
             SolveMode::QuasiStatic => self.solve_quasi_static(sc, Some(tpl)),
             SolveMode::Transient { window, dt } => {
                 self.solve_transient_relaxation(sc, n_vertices, window, dt)
@@ -467,7 +335,7 @@ impl AnalogMaxFlow {
         n_vertices: usize,
         shared: Option<&DcTemplate>,
     ) -> Result<AnalogSolution, AnalogError> {
-        let (window, dt) = match self.config.mode {
+        let (window, dt) = match self.opts.mode {
             SolveMode::Transient { window, dt } => (window, dt),
             _ => (None, None),
         };
@@ -515,7 +383,7 @@ impl AnalogMaxFlow {
             .expect("invariant: the flow-readout vsource has a branch current");
         Ok(AnalogSolution {
             value,
-            value_from_current: sc.flow_value_from_current(i_flow, self.config.params.r_unit),
+            value_from_current: sc.flow_value_from_current(i_flow, self.opts.params.r_unit),
             edge_flows: sc.edge_flows(|n| sol.voltage(n)),
             convergence_time: None,
             stats: sc.stats(),
@@ -542,7 +410,7 @@ impl AnalogMaxFlow {
         dt: Option<f64>,
         shared: Option<&DcTemplate>,
     ) -> Result<AnalogSolution, AnalogError> {
-        let tau = self.config.params.opamp.time_constant();
+        let tau = self.opts.params.opamp.time_constant();
         let mut t_stop = window.unwrap_or(tau * (20.0 + 0.05 * n_vertices as f64));
         let max_window = window.unwrap_or(t_stop * 64.0);
 
@@ -569,7 +437,7 @@ impl AnalogMaxFlow {
         dt: f64,
         shared: Option<&DcTemplate>,
     ) -> Result<AnalogSolution, AnalogError> {
-        match self.config.engine {
+        match self.opts.engine {
             RelaxationEngine::Incremental => {
                 // The session starts from shared cold-path artifacts when
                 // available — an explicitly shared batch template first,
@@ -610,7 +478,7 @@ impl AnalogMaxFlow {
         eq: &mut E,
     ) -> Result<AnalogSolution, AnalogError> {
         let ckt = sc.circuit();
-        let tau = self.config.params.opamp.time_constant();
+        let tau = self.opts.params.opamp.time_constant();
         let n_edges = sc.edge_nodes().len();
         let diode_ids = ckt.diode_ids();
         // Dense element-id → diode-position map (the hot loop below indexes
@@ -638,7 +506,7 @@ impl AnalogMaxFlow {
         // branch current (no per-step allocation).
         let mut sample: Vec<f64> = Vec::with_capacity(n_edges + 1);
         let edge_nodes = sc.edge_nodes();
-        let r_on = self.config.params.diode.r_on;
+        let r_on = self.opts.params.diode.r_on;
 
         // Per-edge switching context, resolved once: diode positions,
         // clamp level, hysteresis band and the circuit node. Grounded
@@ -736,7 +604,7 @@ impl AnalogMaxFlow {
         let times = waves.times().to_vec();
         let flow_series = flow_value_series(sc, &waves);
         let wf = Waveform::from_slices(&times, &flow_series);
-        let settle = wf.settle_time(self.config.settle_fraction);
+        let settle = wf.settle_time(self.opts.settle_fraction);
 
         let value = *flow_series
             .last()
@@ -746,7 +614,7 @@ impl AnalogMaxFlow {
             .expect("invariant: the flow-readout vsource has a branch current");
         Ok(AnalogSolution {
             value,
-            value_from_current: sc.flow_value_from_current(i_flow, self.config.params.r_unit),
+            value_from_current: sc.flow_value_from_current(i_flow, self.opts.params.r_unit),
             edge_flows: relaxed_to_flows(sc, &waves),
             convergence_time: settle,
             stats: sc.stats(),
@@ -773,7 +641,7 @@ impl AnalogMaxFlow {
         let times = waves.times().to_vec();
         let flow_series = flow_value_series(sc, &waves);
         let wf = Waveform::from_slices(&times, &flow_series);
-        let settle = wf.settle_time(self.config.settle_fraction);
+        let settle = wf.settle_time(self.opts.settle_fraction);
         let last = |n| waves.voltage(n).map(|w| w.last_value()).unwrap_or(0.0);
         let i_flow = waves
             .source_current_values(sc.vflow_source())
@@ -781,7 +649,7 @@ impl AnalogMaxFlow {
             .unwrap_or(0.0);
         Ok(AnalogSolution {
             value: sc.flow_value(last),
-            value_from_current: sc.flow_value_from_current(i_flow, self.config.params.r_unit),
+            value_from_current: sc.flow_value_from_current(i_flow, self.opts.params.r_unit),
             edge_flows: sc.edge_flows(last),
             convergence_time: settle,
             stats: sc.stats(),

@@ -234,17 +234,15 @@ impl PlanCache {
         &self.shards[(fingerprint >> 60) as usize & (SHARD_COUNT - 1)]
     }
 
-    /// The plan for `g` under the given factorization identity, plus
-    /// whether it was served from the cache. `build` runs the symbolic
-    /// cold path at most once per topology across all concurrent callers
-    /// (single flight); its failure is returned to the caller that ran it
-    /// and waiters retry independently.
+    /// The plan for `g`'s topology, plus whether it was served from the
+    /// cache. `build` runs the symbolic cold path at most once per
+    /// topology across all concurrent callers (single flight); its failure
+    /// is returned to the caller that ran it and waiters retry
+    /// independently.
     pub(crate) fn get_or_build(
         &self,
         fingerprint: u64,
         g: &FlowNetwork,
-        ordering: ohmflow_circuit::ColumnOrdering,
-        precision: ohmflow_circuit::Precision,
         build: impl FnOnce() -> Result<Arc<SubstrateTemplate>, AnalogError>,
     ) -> Result<(Arc<SubstrateTemplate>, bool), AnalogError> {
         let probe = {
@@ -255,16 +253,17 @@ impl PlanCache {
             shard.tick += 1;
             let tick = shard.tick;
             let bucket = shard.buckets.entry(fingerprint).or_default();
-            let found = bucket
-                .iter_mut()
-                .find(|e| e.key.verifies(g, ordering, precision))
-                .map(|e| match &mut e.slot {
-                    Slot::Ready { tpl, last_used, .. } => {
-                        *last_used = tick;
-                        Probe::Hit(Arc::clone(tpl))
-                    }
-                    Slot::Building(gate) => Probe::Wait(Arc::clone(gate)),
-                });
+            let found =
+                bucket
+                    .iter_mut()
+                    .find(|e| e.key.matches_graph(g))
+                    .map(|e| match &mut e.slot {
+                        Slot::Ready { tpl, last_used, .. } => {
+                            *last_used = tick;
+                            Probe::Hit(Arc::clone(tpl))
+                        }
+                        Slot::Building(gate) => Probe::Wait(Arc::clone(gate)),
+                    });
             match found {
                 Some(p) => p,
                 None => {
@@ -273,7 +272,7 @@ impl PlanCache {
                     // can verify against it.
                     let gate = Arc::new(Gate::new());
                     bucket.push(Entry {
-                        key: TemplateKey::with_lu(g, ordering, precision),
+                        key: TemplateKey::of(g),
                         slot: Slot::Building(Arc::clone(&gate)),
                     });
                     Probe::Build(gate)
@@ -347,19 +346,13 @@ impl PlanCache {
         }
     }
 
-    /// A resident plan for `g` under the given factorization identity, if
-    /// one is cached — a probe that never builds, never waits on an
-    /// in-flight cold path, and never registers a `Building` slot. The
+    /// A resident plan for `g`'s topology, if one is cached — a probe
+    /// that never builds, never waits on an in-flight cold path, and never
+    /// registers a `Building` slot. The
     /// adaptive small-instance solve path uses this: a tiny graph rides a
     /// plan someone already paid for, but a cache miss must not commit it
     /// to the cold path.
-    pub(crate) fn peek(
-        &self,
-        fingerprint: u64,
-        g: &FlowNetwork,
-        ordering: ohmflow_circuit::ColumnOrdering,
-        precision: ohmflow_circuit::Precision,
-    ) -> Option<Arc<SubstrateTemplate>> {
+    pub(crate) fn peek(&self, fingerprint: u64, g: &FlowNetwork) -> Option<Arc<SubstrateTemplate>> {
         let mut shard = self
             .shard(fingerprint)
             .lock()
@@ -369,7 +362,7 @@ impl PlanCache {
         let hit = shard.buckets.get_mut(&fingerprint).and_then(|bucket| {
             bucket
                 .iter_mut()
-                .find(|e| e.key.verifies(g, ordering, precision))
+                .find(|e| e.key.matches_graph(g))
                 .and_then(|e| match &mut e.slot {
                     Slot::Ready { tpl, last_used, .. } => {
                         *last_used = tick;
@@ -470,7 +463,7 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
-    use ohmflow_circuit::{ColumnOrdering, Precision};
+    use ohmflow_circuit::LuOptions;
     use ohmflow_graph::generators;
 
     use super::*;
@@ -489,22 +482,16 @@ mod tests {
         generators::path(&caps).expect("path graph")
     }
 
-    fn lu_identity() -> (ColumnOrdering, Precision) {
-        (ColumnOrdering::default(), Precision::default())
-    }
-
     fn build_template(g: &FlowNetwork) -> Result<Arc<SubstrateTemplate>, AnalogError> {
         let (params, opts) = params_and_opts();
-        SubstrateTemplate::with_lu_options(g, &params, &opts, opts.lu_options()).map(Arc::new)
+        SubstrateTemplate::new(g, &params, &opts, LuOptions::default()).map(Arc::new)
     }
 
     fn lookup(
         cache: &PlanCache,
         g: &FlowNetwork,
     ) -> Result<(Arc<SubstrateTemplate>, bool), AnalogError> {
-        let (ordering, precision) = lu_identity();
-        let fp = TemplateKey::fingerprint(g, ordering, precision);
-        cache.get_or_build(fp, g, ordering, precision, || build_template(g))
+        cache.get_or_build(TemplateKey::fingerprint(g), g, || build_template(g))
     }
 
     /// Mutation-kill: desync a shard's resident-byte counter and assert
@@ -516,8 +503,7 @@ mod tests {
         lookup(&cache, &g).expect("plan");
         cache.audit().expect("pristine cache audits clean");
 
-        let (ordering, precision) = lu_identity();
-        let fp = TemplateKey::fingerprint(&g, ordering, precision);
+        let fp = TemplateKey::fingerprint(&g);
         cache.shard(fp).lock().expect("shard").bytes += 1;
         let err = cache.audit().expect_err("desync must be caught");
         assert_eq!(err.invariant, "byte-accounting");
@@ -532,8 +518,7 @@ mod tests {
         let g = path_graph(6);
         lookup(&cache, &g).expect("plan");
 
-        let (ordering, precision) = lu_identity();
-        let fp = TemplateKey::fingerprint(&g, ordering, precision);
+        let fp = TemplateKey::fingerprint(&g);
         let home = (fp >> 60) as usize & (SHARD_COUNT - 1);
         let wrong = (home + 1) % SHARD_COUNT;
         let (bucket, bytes) = {
@@ -560,8 +545,7 @@ mod tests {
         let g = Arc::new(path_graph(7));
         let builds = Arc::new(AtomicUsize::new(0));
         let barrier = Arc::new(Barrier::new(THREADS));
-        let (ordering, precision) = lu_identity();
-        let fp = TemplateKey::fingerprint(&g, ordering, precision);
+        let fp = TemplateKey::fingerprint(&g);
 
         let handles: Vec<_> = (0..THREADS)
             .map(|_| {
@@ -574,7 +558,7 @@ mod tests {
                 std::thread::spawn(move || {
                     barrier.wait();
                     cache
-                        .get_or_build(fp, &g, ordering, precision, || {
+                        .get_or_build(fp, &g, || {
                             builds.fetch_add(1, Ordering::SeqCst);
                             // Widen the race window so every other thread
                             // reaches the gate while the build is in flight.
@@ -712,9 +696,8 @@ mod tests {
     fn failed_build_leaves_no_residue() {
         let cache = PlanCache::new(DEFAULT_CAPACITY_BYTES);
         let g = path_graph(5);
-        let (ordering, precision) = lu_identity();
-        let fp = TemplateKey::fingerprint(&g, ordering, precision);
-        let err = cache.get_or_build(fp, &g, ordering, precision, || {
+        let fp = TemplateKey::fingerprint(&g);
+        let err = cache.get_or_build(fp, &g, || {
             Err(AnalogError::InvalidConfig {
                 what: "synthetic build failure".to_owned(),
             })

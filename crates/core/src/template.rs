@@ -92,39 +92,6 @@ impl StreamHasher {
     }
 }
 
-/// `Hasher` so `#[derive(Hash)]` types (orderings, precisions) can fold
-/// themselves into a fingerprint; the hot per-edge loop calls
-/// [`StreamHasher::mix`] directly and never routes through this trait.
-impl std::hash::Hasher for StreamHasher {
-    fn finish(&self) -> u64 {
-        StreamHasher::finish(self)
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.mix(u64::from_le_bytes(buf));
-        }
-    }
-
-    fn write_u8(&mut self, i: u8) {
-        self.mix(u64::from(i));
-    }
-
-    fn write_u32(&mut self, i: u32) {
-        self.mix(u64::from(i));
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.mix(i);
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        self.mix(i as u64);
-    }
-}
-
 /// One edge packed as `(from << 32) | to`: the word the fingerprint mixes
 /// and the stored-key verify path compares. Vertex ids fit u32 by far —
 /// [`FlowNetwork`] construction bounds them by the vertex count.
@@ -154,70 +121,31 @@ pub struct TemplateKey {
     /// is the identity. Packed so the verify path behind every
     /// fingerprint-probed cache hit is a straight `u64` word compare.
     edges: Vec<u64>,
-    /// The LU column ordering the template's symbolic factorization was
-    /// built under. Part of the identity: a symbolic plan is only reusable
-    /// under the ordering that produced it, so caches must never hand a
-    /// min-degree-era template to an AMD+BTF solve (or vice versa).
-    ordering: ohmflow_circuit::ColumnOrdering,
-    /// The numeric precision of the template's stored factor values. Part
-    /// of the identity for the same reason: an f32 value-array plan primed
-    /// into an f64 solve (or vice versa) would silently change every
-    /// cached refactorization's accuracy.
-    precision: ohmflow_circuit::Precision,
 }
 
 impl TemplateKey {
-    /// The key of `g` under the default column ordering.
+    /// The key of `g`'s topology.
     pub fn of(g: &FlowNetwork) -> Self {
-        Self::with_ordering(g, ohmflow_circuit::ColumnOrdering::default())
-    }
-
-    /// The key of `g` under an explicit column ordering (what
-    /// [`BuildOptions::lu_ordering`](crate::builder::BuildOptions) selects)
-    /// and the default (f64) precision.
-    pub fn with_ordering(g: &FlowNetwork, ordering: ohmflow_circuit::ColumnOrdering) -> Self {
-        Self::with_lu(g, ordering, ohmflow_circuit::Precision::default())
-    }
-
-    /// The key of `g` under an explicit column ordering and numeric
-    /// precision (what
-    /// [`BuildOptions::lu_ordering`](crate::builder::BuildOptions) and
-    /// [`BuildOptions::lu_precision`](crate::builder::BuildOptions)
-    /// select).
-    pub fn with_lu(
-        g: &FlowNetwork,
-        ordering: ohmflow_circuit::ColumnOrdering,
-        precision: ohmflow_circuit::Precision,
-    ) -> Self {
-        let edges: Vec<u64> = g.edges().iter().map(pack_edge).collect();
         TemplateKey {
-            hash: Self::fingerprint(g, ordering, precision),
+            hash: Self::fingerprint(g),
             vertices: g.vertex_count(),
             source: g.source(),
             sink: g.sink(),
-            edges,
-            ordering,
-            precision,
+            edges: g.edges().iter().map(pack_edge).collect(),
         }
     }
 
-    /// The topology fingerprint of `g` under the given factorization
-    /// identity, computed in **one streaming pass** over the graph: no
-    /// intermediate edge `Vec`, no per-edge `Hash` dispatch — one
-    /// multiply–rotate mix per edge (see `StreamHasher`). Equal to the
-    /// cached hash of [`TemplateKey::with_lu`] on the same inputs by
+    /// The topology fingerprint of `g`, computed in **one streaming pass**
+    /// over the graph: no intermediate edge `Vec`, no per-edge `Hash`
+    /// dispatch — one multiply–rotate mix per edge (see `StreamHasher`).
+    /// Equal to the cached hash of [`TemplateKey::of`] on the same graph by
     /// construction, so a cache can probe on the fingerprint alone and
     /// fall back to the full key only on a match.
     ///
     /// Collisions between *different* topologies are possible (64-bit
     /// hash) and harmless: every consumer verifies a fingerprint match
     /// against the stored [`TemplateKey`] before serving a plan.
-    pub fn fingerprint(
-        g: &FlowNetwork,
-        ordering: ohmflow_circuit::ColumnOrdering,
-        precision: ohmflow_circuit::Precision,
-    ) -> u64 {
-        use std::hash::Hash as _;
+    pub fn fingerprint(g: &FlowNetwork) -> u64 {
         let mut h = StreamHasher::new();
         h.mix(g.vertex_count() as u64);
         h.mix(g.source() as u64);
@@ -246,13 +174,11 @@ impl TemplateKey {
         for lane in lanes {
             h.mix(lane);
         }
-        ordering.hash(&mut h);
-        precision.hash(&mut h);
         h.finish()
     }
 
     /// The cached fingerprint (what [`TemplateKey::fingerprint`] returns
-    /// for the key's own inputs).
+    /// for the key's own graph).
     pub fn fingerprint_value(&self) -> u64 {
         self.hash
     }
@@ -301,23 +227,10 @@ impl TemplateKey {
             .zip(fresh.remainder())
             .all(|(w, e)| *w == pack_edge(e))
     }
-
-    /// Full verification of a fingerprint match: the key serves `g` under
-    /// exactly this factorization identity (ordering + precision) and
-    /// topology. Rules out both fingerprint collisions between topologies
-    /// and collisions between factorization identities of one topology.
-    pub fn verifies(
-        &self,
-        g: &FlowNetwork,
-        ordering: ohmflow_circuit::ColumnOrdering,
-        precision: ohmflow_circuit::Precision,
-    ) -> bool {
-        self.ordering == ordering && self.precision == precision && self.matches_graph(g)
-    }
 }
 
 /// Hashes only the cached fingerprint: the expensive edge-list traversal
-/// happened once in [`TemplateKey::with_ordering`]. Consistent with the
+/// happened once in [`TemplateKey::of`]. Consistent with the
 /// derived `PartialEq` — equal keys have equal cached hashes because the
 /// fingerprint is a pure function of the compared fields.
 impl std::hash::Hash for TemplateKey {
@@ -385,7 +298,7 @@ pub(crate) fn value_fingerprint(sc: &SubstrateCircuit) -> u64 {
 impl SubstrateTemplate {
     /// Runs the full cold path for `g`'s topology: builds the per-edge
     /// skeleton (using `g`'s capacities as the initial values) and derives
-    /// the shared structure and factorization.
+    /// the shared structure and factorization under `lu`.
     ///
     /// # Errors
     ///
@@ -395,36 +308,15 @@ impl SubstrateTemplate {
         g: &FlowNetwork,
         params: &SubstrateParams,
         opts: &BuildOptions,
-    ) -> Result<Self, AnalogError> {
-        Self::with_lu_options(g, params, opts, opts.lu_options())
-    }
-
-    /// [`SubstrateTemplate::new`] with the full factorization options made
-    /// explicit — how the facade threads `SolveOptions::lu` (pivoting
-    /// thresholds included, not just the ordering) into the plan's
-    /// symbolic work. `lu.ordering` wins over `opts.lu_ordering` (the
-    /// facade's precedence rule): the stored build options and the
-    /// topology key are normalized to it.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SubstrateTemplate::new`].
-    pub fn with_lu_options(
-        g: &FlowNetwork,
-        params: &SubstrateParams,
-        opts: &BuildOptions,
         lu: ohmflow_circuit::LuOptions,
     ) -> Result<Self, AnalogError> {
-        let mut opts = *opts;
-        opts.lu_ordering = lu.ordering;
-        opts.lu_precision = lu.precision;
-        let (skeleton, level_sources) = build_with_layout(g, params, &opts, LevelLayout::PerEdge)?;
+        let (skeleton, level_sources) = build_with_layout(g, params, opts, LevelLayout::PerEdge)?;
         let dc =
             Arc::new(DcTemplate::with_options(skeleton.circuit(), lu).map_err(AnalogError::from)?);
         Ok(SubstrateTemplate {
-            key: TemplateKey::with_lu(g, lu.ordering, lu.precision),
+            key: TemplateKey::of(g),
             params: params.clone(),
-            opts,
+            opts: *opts,
             skeleton,
             level_sources,
             dc,
@@ -478,9 +370,7 @@ impl SubstrateTemplate {
         g: &FlowNetwork,
         mapping: CapacityMapping,
     ) -> Result<SubstrateCircuit, AnalogError> {
-        // Allocation-free topology verification (the key's ordering and
-        // precision already equal the template's own build options by
-        // construction, so only the graph shape needs checking).
+        // Allocation-free topology verification.
         if !self.key.matches_graph(g) {
             return Err(AnalogError::InvalidConfig {
                 what: "template instantiated with a different graph topology".to_owned(),
@@ -559,6 +449,7 @@ pub(crate) fn uniform_structure(scs: &[&SubstrateCircuit]) -> bool {
 mod tests {
     use super::*;
     use crate::builder::build;
+    use ohmflow_circuit::LuOptions;
     use ohmflow_graph::generators;
 
     fn params_and_opts() -> (SubstrateParams, BuildOptions) {
@@ -585,60 +476,30 @@ mod tests {
     }
 
     #[test]
-    fn template_key_separates_orderings() {
-        use ohmflow_circuit::ColumnOrdering;
-        // A symbolic plan is only valid under the ordering that built it:
-        // the same topology under different orderings must never share a
-        // cache slot, while the default-ordering key stays stable.
-        let a = generators::fig5a();
-        assert_ne!(
-            TemplateKey::of(&a),
-            TemplateKey::with_ordering(&a, ColumnOrdering::MinDegree)
-        );
-        assert_eq!(
-            TemplateKey::of(&a),
-            TemplateKey::with_ordering(&a, ColumnOrdering::default())
-        );
-    }
-
-    #[test]
     fn fingerprint_agrees_with_key_hash() {
-        use ohmflow_circuit::{ColumnOrdering, Precision};
         // The streaming one-pass fingerprint must equal the cached hash of
-        // the full key on the same inputs — the property that lets the
+        // the full key on the same graph — the property that lets the
         // plan cache probe on the fingerprint alone.
         for g in [
             generators::fig5a(),
             generators::path(&[5, 2, 9]).unwrap(),
             generators::layered(3, 2, 5, 1).unwrap(),
         ] {
-            for ordering in [ColumnOrdering::default(), ColumnOrdering::Amd] {
-                for precision in [Precision::F64, Precision::F32Refined] {
-                    let key = TemplateKey::with_lu(&g, ordering, precision);
-                    assert_eq!(
-                        key.fingerprint_value(),
-                        TemplateKey::fingerprint(&g, ordering, precision)
-                    );
-                }
-            }
+            assert_eq!(
+                TemplateKey::of(&g).fingerprint_value(),
+                TemplateKey::fingerprint(&g)
+            );
         }
     }
 
     #[test]
-    fn key_verification_discriminates_topology_and_lu_identity() {
-        use ohmflow_circuit::{ColumnOrdering, Precision};
+    fn key_verification_discriminates_topology() {
         let g = generators::fig5a();
         let key = TemplateKey::of(&g);
-        let (ordering, precision) = (ColumnOrdering::default(), Precision::default());
-        assert!(key.verifies(&g, ordering, precision));
+        assert!(key.matches_graph(&g));
         // Capacities are free; topology is not.
         assert!(key.matches_graph(&g.scaled_capacities(3).unwrap()));
         assert!(!key.matches_graph(&generators::path(&[5, 2, 9]).unwrap()));
-        // Same topology under a different factorization identity must not
-        // verify (a fingerprint collision across orderings would
-        // otherwise serve a foreign symbolic plan).
-        assert!(!key.verifies(&g, ColumnOrdering::MinDegree, precision));
-        assert!(!key.verifies(&g, ordering, Precision::F32Refined));
         // One edge reversed: same counts, different identity.
         let mut rev = ohmflow_graph::FlowNetwork::new(5, 0, 4).unwrap();
         for (i, e) in g.edges().iter().enumerate() {
@@ -654,7 +515,9 @@ mod tests {
     #[test]
     fn instantiate_rejects_topology_mismatch() {
         let (params, opts) = params_and_opts();
-        let tpl = SubstrateTemplate::new(&generators::fig5a(), &params, &opts).unwrap();
+        let tpl =
+            SubstrateTemplate::new(&generators::fig5a(), &params, &opts, LuOptions::default())
+                .unwrap();
         let other = generators::path(&[5, 2, 9]).unwrap();
         assert!(matches!(
             tpl.instantiate(&other),
@@ -666,7 +529,7 @@ mod tests {
     fn instantiate_restamps_clamp_values() {
         let (params, opts) = params_and_opts();
         let g = generators::fig5a();
-        let tpl = SubstrateTemplate::new(&g, &params, &opts).unwrap();
+        let tpl = SubstrateTemplate::new(&g, &params, &opts, LuOptions::default()).unwrap();
         let g2 = g.scaled_capacities(3).unwrap();
         let inst = tpl.instantiate(&g2).unwrap();
         let fresh = build(&g2, &params, &opts).unwrap();

@@ -5,17 +5,19 @@
 //! same tolerance: convenience `solve` vs the explicit
 //! plan → instance → solve stages vs the cache-bypassing cold path,
 //! batch `solve_many` vs sequential solves, and plan-derived sessions vs
-//! cold sessions. Also audits option precedence: a plan built under
-//! AMD+BTF can never silently fall back to a differently-ordered fresh
-//! factorization.
+//! cold sessions. Also audits option identity: a solver's plans are
+//! built under exactly its own options, never shared with a solver under
+//! other factorization options, and a plan built under AMD+BTF can never
+//! silently fall back to a differently-ordered fresh factorization.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use std::sync::Arc;
+
 use ohmflow::solver::facade::{MaxFlowSolver, Problem, SolveOptions};
-use ohmflow::solver::AnalogConfig;
-use ohmflow_circuit::{ColumnOrdering, DcSolver, LuOptions};
+use ohmflow_circuit::{ColumnOrdering, DcSolver, LuOptions, Precision};
 use ohmflow_graph::{generators, FlowNetwork};
 
 /// A random small flow network with a guaranteed source→sink spine plus
@@ -161,9 +163,9 @@ proptest! {
 #[test]
 fn transient_paths_are_self_consistent() {
     let g = generators::fig5a();
-    let mut cfg = AnalogConfig::evaluation(10e9);
-    cfg.build.capacity_mapping = ohmflow::builder::CapacityMapping::Exact;
-    let solver = MaxFlowSolver::new(SolveOptions::from_config(cfg.clone()));
+    let mut opts = SolveOptions::evaluation(10e9);
+    opts.build.capacity_mapping = ohmflow::builder::CapacityMapping::Exact;
+    let solver = MaxFlowSolver::new(opts.clone());
 
     let cached = solver.solve(&g).expect("cached transient");
     let fresh = solver.solve_fresh(&g).expect("fresh transient");
@@ -181,7 +183,7 @@ fn transient_paths_are_self_consistent() {
         ..ohmflow::builder::BuildOptions::ideal()
     };
     let scs: Vec<_> = (0..3)
-        .map(|_| ohmflow::builder::build(&g, &cfg.params, &build).expect("build"))
+        .map(|_| ohmflow::builder::build(&g, &opts.params, &build).expect("build"))
         .collect();
     let singles: Vec<_> = scs
         .iter()
@@ -235,30 +237,21 @@ fn dc_plan_solve_matches_cold_solve() {
     }
 }
 
-/// Option-precedence audit: a plan built under AMD+BTF can never silently
-/// fall back to a differently-ordered fresh factorization — neither in
-/// the facade's plans, nor in sessions, nor in the cold fallback path of
-/// a mismatched plan (extending the PR 4 "templates remember their
-/// options" guarantee to the facade).
+/// Ordering audit: a plan built under AMD+BTF can never silently fall
+/// back to a differently-ordered fresh factorization — neither in the
+/// facade's plans, nor in sessions, nor in the cold fallback path of a
+/// mismatched plan (templates remember their options).
 #[test]
 fn amd_btf_plan_never_falls_back_to_another_ordering() {
     let g = generators::fig15a(40);
 
-    // Deliberately desynchronize the legacy build-level ordering knob:
-    // SolveOptions::lu must win everywhere.
     let mut opts = SolveOptions::ideal();
-    opts.build.lu_ordering = ColumnOrdering::Natural;
     opts.lu.ordering = ColumnOrdering::AmdBtf;
     // The *full* options must reach the plan's symbolic work, not just
     // the ordering: strict partial pivoting is observable through
     // `Plan::lu_options`.
     opts.lu.pivot_threshold = 1.0;
     let solver = MaxFlowSolver::new(opts);
-    assert_eq!(
-        solver.options().build.lu_ordering,
-        ColumnOrdering::AmdBtf,
-        "normalization must sync the build ordering to SolveOptions::lu"
-    );
     let plan = solver.plan(&g).expect("plan");
     assert_eq!(
         plan.lu_options().pivot_threshold,
@@ -341,7 +334,6 @@ proptest! {
     /// meet.
     #[test]
     fn f32_refined_solve_matches_f64_within_1e9(seed in any::<u64>()) {
-        use ohmflow_circuit::Precision;
         let mut rng = StdRng::seed_from_u64(seed);
         let g = random_graph(&mut rng);
         let f64_solver = MaxFlowSolver::new(SolveOptions::ideal());
@@ -361,23 +353,76 @@ proptest! {
     }
 }
 
-/// Precision is part of a template's identity: two keys differing only in
-/// [`Precision`] must be distinct, so an `F32Refined` solver can never be
-/// handed a cached f64 template (or vice versa) for the same topology.
+/// Plans never cross options: solvers under different factorization
+/// options plan the same graph into distinct templates, each built under
+/// its own solver's options, while clones of one solver share theirs.
 #[test]
-fn template_key_separates_precisions() {
-    use ohmflow::TemplateKey;
-    use ohmflow_circuit::Precision;
+fn plans_never_cross_options() {
     let g = generators::fig15a(12);
-    let f64_key = TemplateKey::with_lu(&g, ColumnOrdering::AmdBtf, Precision::F64);
-    let f32_key = TemplateKey::with_lu(&g, ColumnOrdering::AmdBtf, Precision::F32Refined);
-    assert_ne!(
-        f64_key, f32_key,
-        "keys differing only in precision must not collide"
-    );
-    assert_eq!(
-        f64_key,
-        TemplateKey::with_lu(&g, ColumnOrdering::AmdBtf, Precision::F64),
-        "identical inputs must reproduce the same key"
-    );
+    let solvers: Vec<MaxFlowSolver> = [
+        (ColumnOrdering::AmdBtf, Precision::F64),
+        (ColumnOrdering::AmdBtf, Precision::F32Refined),
+        (ColumnOrdering::Natural, Precision::F64),
+    ]
+    .into_iter()
+    .map(|(ordering, precision)| {
+        MaxFlowSolver::new(
+            SolveOptions::ideal()
+                .with_ordering(ordering)
+                .with_precision(precision),
+        )
+    })
+    .collect();
+    let plans: Vec<_> = solvers.iter().map(|s| s.plan(&g).expect("plan")).collect();
+    for (i, (solver, plan)) in solvers.iter().zip(&plans).enumerate() {
+        assert_eq!(
+            plan.lu_options(),
+            &solver.options().lu,
+            "solver {i}: the plan must be built under its own solver's options"
+        );
+        for (j, other) in plans.iter().enumerate().skip(i + 1) {
+            assert!(
+                !Arc::ptr_eq(plan.template(), other.template()),
+                "solvers {i} and {j} must not share a template"
+            );
+        }
+        let clone_plan = solver.clone().plan(&g).expect("clone plan");
+        assert!(clone_plan.cache_hit(), "solver {i}: clones share one cache");
+        assert!(
+            Arc::ptr_eq(plan.template(), clone_plan.template()),
+            "solver {i}: clones must share the template"
+        );
+    }
+}
+
+/// Options round-trip: a solver rebuilt from another solver's
+/// `options()` runs under the same options (the build shape is resolved
+/// once, and resolving again changes nothing) and answers bit for bit
+/// the same.
+#[test]
+fn options_round_trip_reproduces_the_solver() {
+    let g = generators::fig5a();
+    for (label, opts) in [
+        ("ideal", SolveOptions::ideal()),
+        ("evaluation", SolveOptions::evaluation(10e9)),
+        (
+            "evaluation_quasi_static",
+            SolveOptions::evaluation_quasi_static(10e9),
+        ),
+    ] {
+        let solver = MaxFlowSolver::new(opts);
+        let again = MaxFlowSolver::new(solver.options().clone());
+        assert_eq!(again.options(), solver.options(), "{label}: options");
+        let a = solver.solve_fresh(&g).expect("solve");
+        let b = again.solve_fresh(&g).expect("round-tripped solve");
+        assert_eq!(a.value.to_bits(), b.value.to_bits(), "{label}: value");
+        assert_eq!(
+            a.convergence_time.map(f64::to_bits),
+            b.convergence_time.map(f64::to_bits),
+            "{label}: convergence time"
+        );
+        for (e, (x, y)) in a.edge_flows.iter().zip(&b.edge_flows).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{label}: edge {e} flow");
+        }
+    }
 }
