@@ -476,6 +476,39 @@ mod tests {
     }
 
     #[test]
+    fn template_key_separates_orderings() {
+        use ohmflow_circuit::ColumnOrdering;
+        // A symbolic plan is only valid under the ordering that built it.
+        // The key is topology-only, so the ordering lives with the
+        // template: the same topology under two orderings gives equal
+        // keys but two templates, each factored under its own ordering.
+        let (params, opts) = params_and_opts();
+        let g = generators::fig5a();
+        let build = |ordering| {
+            let lu = LuOptions {
+                ordering,
+                ..LuOptions::default()
+            };
+            SubstrateTemplate::new(&g, &params, &opts, lu).unwrap()
+        };
+        let natural = build(ColumnOrdering::Natural);
+        let min_degree = build(ColumnOrdering::MinDegree);
+        assert_eq!(natural.key(), min_degree.key());
+        assert_eq!(
+            natural.dc_template().lu_options().ordering,
+            ColumnOrdering::Natural
+        );
+        assert_eq!(
+            min_degree.dc_template().lu_options().ordering,
+            ColumnOrdering::MinDegree
+        );
+        assert!(!Arc::ptr_eq(
+            natural.dc_template().symbolic(),
+            min_degree.dc_template().symbolic()
+        ));
+    }
+
+    #[test]
     fn fingerprint_agrees_with_key_hash() {
         // The streaming one-pass fingerprint must equal the cached hash of
         // the full key on the same graph — the property that lets the

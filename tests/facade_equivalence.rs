@@ -353,6 +353,29 @@ proptest! {
     }
 }
 
+/// Precision is part of a plan's identity: an `F32Refined` solver can
+/// never be handed an f64 template (or vice versa) for the same topology.
+/// The template key is topology-only, so the two plans share a key but
+/// not a template, and each carries its own solver's precision.
+#[test]
+fn template_key_separates_precisions() {
+    let g = generators::fig15a(12);
+    let plan_under = |precision| {
+        MaxFlowSolver::new(SolveOptions::ideal().with_precision(precision))
+            .plan(&g)
+            .expect("plan")
+    };
+    let f64_plan = plan_under(Precision::F64);
+    let f32_plan = plan_under(Precision::F32Refined);
+    assert_eq!(f64_plan.template().key(), f32_plan.template().key());
+    assert!(
+        !Arc::ptr_eq(f64_plan.template(), f32_plan.template()),
+        "plans differing only in precision must not share a template"
+    );
+    assert_eq!(f64_plan.lu_options().precision, Precision::F64);
+    assert_eq!(f32_plan.lu_options().precision, Precision::F32Refined);
+}
+
 /// Plans never cross options: solvers under different factorization
 /// options plan the same graph into distinct templates, each built under
 /// its own solver's options, while clones of one solver share theirs.
