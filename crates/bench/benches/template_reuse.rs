@@ -12,15 +12,16 @@
 //! * `fig10_n_sweep` — the Fig. 10 quantization sweep: one topology
 //!   re-instantiated per voltage-level count `N`, fresh build per `N` vs
 //!   `Plan::instance_mapped`.
-//! * `session_from_template` — the circuit layer alone: cold
-//!   `DcSolver::session` (structure + ordering + symbolic + numeric) vs
-//!   `DcPlan::session` (numeric-only refactorization).
+//! * `session_creation_rmat96` — the circuit layer alone: cold
+//!   `DcSolver::session(ckt, None)` (structure + ordering + symbolic +
+//!   numeric) vs `DcSolver::session(ckt, Some(&template))` (numeric-only
+//!   refactorization).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ohmflow::builder::CapacityMapping;
 use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow_bench::fig10_instance;
-use ohmflow_circuit::DcSolver;
+use ohmflow_circuit::{DcSolver, DcTemplate, LuOptions};
 
 fn sweep_config() -> SolveOptions {
     let mut cfg = SolveOptions::evaluation_quasi_static(10e9);
@@ -80,20 +81,24 @@ fn bench_n_sweep(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_session_from_template(c: &mut Criterion) {
+fn bench_session_creation(c: &mut Criterion) {
     let g = fig10_instance(96, false, 3);
     let solver = MaxFlowSolver::new(sweep_config());
     let plan = solver.plan(&g).expect("plan");
     let sc = plan.instance(&g).expect("instance").substrate().clone();
     let dcs = DcSolver::new();
-    let dc_plan = dcs.plan(sc.circuit()).expect("dc plan");
+    let dc_tpl = DcTemplate::new(sc.circuit(), LuOptions::default()).expect("dc template");
     let mut group = c.benchmark_group("session_creation_rmat96");
     group.sample_size(10);
     group.bench_function("cold", |b| {
-        b.iter(|| dcs.session(sc.circuit()).expect("session").stats())
+        b.iter(|| dcs.session(sc.circuit(), None).expect("session").stats())
     });
     group.bench_function("from_template", |b| {
-        b.iter(|| dc_plan.session(sc.circuit()).expect("session").stats())
+        b.iter(|| {
+            dcs.session(sc.circuit(), Some(&dc_tpl))
+                .expect("session")
+                .stats()
+        })
     });
     group.finish();
 }
@@ -102,6 +107,6 @@ criterion_group!(
     benches,
     bench_repeat_solves,
     bench_n_sweep,
-    bench_session_from_template
+    bench_session_creation
 );
 criterion_main!(benches);

@@ -49,7 +49,7 @@ use ohmflow_bench::{
     bench_substrate, dimacs_grid_instance, diode_unknown_pairs, fig10_instance, median_ns,
     time_push_relabel,
 };
-use ohmflow_circuit::DcSolver;
+use ohmflow_circuit::{DcSolver, DcTemplate};
 use ohmflow_graph::generators;
 use ohmflow_linalg::{
     ColumnOrdering, LuWorkspace, RefactorStrategy, SparseLu, SparseLuOptions, SparseSolveWorkspace,
@@ -110,10 +110,14 @@ fn main() {
     // --- Session creation: cold path vs numeric-only from template. ---
     let sc = plan.instance(&g).expect("instance").substrate().clone();
     let dcs = DcSolver::new();
-    let dc_plan = dcs.plan(sc.circuit()).expect("dc plan");
-    let s_cold = median_ns(5, || dcs.session(sc.circuit()).expect("session").stats());
+    let dc_tpl = DcTemplate::new(sc.circuit(), SparseLuOptions::default()).expect("dc template");
+    let s_cold = median_ns(5, || {
+        dcs.session(sc.circuit(), None).expect("session").stats()
+    });
     let s_tpl = median_ns(5, || {
-        dc_plan.session(sc.circuit()).expect("session").stats()
+        dcs.session(sc.circuit(), Some(&dc_tpl))
+            .expect("session")
+            .stats()
     });
     push("session_rmat128/cold", s_cold);
     push("session_rmat128/from_template", s_tpl);
@@ -348,12 +352,12 @@ fn pr3_report() {
         let g = dimacs_grid_instance(40, 50, 7);
         let sc = bench_substrate(&g);
         let ckt = sc.circuit();
-        let dc_plan = DcSolver::new()
-            .phase_timing(true)
-            .plan(ckt)
-            .expect("dc plan");
+        let dc_tpl = DcTemplate::new(ckt, SparseLuOptions::default()).expect("dc template");
         let n_diodes = ckt.diode_count();
-        let mut session = dc_plan.session(ckt).expect("session");
+        let mut session = DcSolver::new()
+            .phase_timing(true)
+            .session(ckt, Some(&dc_tpl))
+            .expect("session");
         let mut on = vec![false; n_diodes];
         let steps = 400;
         let t0 = std::time::Instant::now();

@@ -10,7 +10,7 @@ use ohmflow::solver::RelaxationEngine;
 use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow::{SubstrateParams, SubstrateTemplate};
 use ohmflow_bench::median_ns;
-use ohmflow_circuit::{DcSolver, LuOptions};
+use ohmflow_circuit::{DcSolver, DcTemplate, LuOptions};
 use ohmflow_graph::generators;
 
 fn main() {
@@ -38,9 +38,9 @@ fn main() {
     // difference is the amortizable ordering/symbolic share.
     let t_build = median_ns(9, || build(&g, &params, &bo).expect("build"));
     let dcs = DcSolver::new();
-    let dc_plan = dcs.plan(ckt).expect("dc plan");
-    let t_cold = median_ns(9, || dcs.session(ckt).expect("session"));
-    let t_numeric = median_ns(9, || dc_plan.session(ckt).expect("session"));
+    let dc_tpl = DcTemplate::new(ckt, LuOptions::default()).expect("dc template");
+    let t_cold = median_ns(9, || dcs.session(ckt, None).expect("session"));
+    let t_numeric = median_ns(9, || dcs.session(ckt, Some(&dc_tpl)).expect("session"));
     let t_tpl = median_ns(5, || {
         SubstrateTemplate::new(&g, &params, &bo, LuOptions::default()).expect("template")
     });
@@ -61,7 +61,7 @@ fn main() {
     let n_diodes = ckt.diode_count();
     let mut session = DcSolver::new()
         .phase_timing(true)
-        .session(ckt)
+        .session(ckt, None)
         .expect("session");
     let off = vec![false; n_diodes];
     let steps = 20_000;
@@ -113,7 +113,7 @@ fn main() {
     // Factorization structure under the production (AMD+BTF) ordering: the
     // fill the flip loop replays every rebase, and the block decomposition
     // that bounds it (the largest block is the irreducible core).
-    let sym = dc_plan.template().symbolic();
+    let sym = dc_tpl.symbolic();
     println!(
         "factor structure   : nnz(L+U) {}  blocks {}  largest block {} of {}",
         sym.pattern_nnz(),

@@ -10,9 +10,9 @@
 //!   VCVS, piecewise-linear diodes, single-pole op-amp macromodels, and
 //!   behavioural memristors ([`MemristorModel`]) with threshold programming,
 //! * modified nodal analysis assembly ([`mna`]),
-//! * staged DC solving through the [`DcSolver`] facade — plan the cold
-//!   path once per circuit structure ([`DcPlan`]), then operating-point
-//!   solves with diode/op-amp state (complementarity) iteration and
+//! * DC solving through [`DcSolver`] — capture the cold path once per
+//!   circuit structure as a [`DcTemplate`], then pass it to operating-point
+//!   solves with diode/op-amp state (complementarity) iteration and to
 //!   incremental frozen-state sessions ([`FrozenDcSession`]) that pay only
 //!   numeric work,
 //! * transient analysis with backward-Euler and trapezoidal integration and
@@ -56,15 +56,13 @@ mod waveform;
 
 pub use circuit::Circuit;
 pub use dc::{
-    solve_frozen_dc, DcPlan, DcSolution, DcSolver, DcTemplate, FrozenDcCache, FrozenDcPhases,
+    solve_frozen_dc, DcSolution, DcSolver, DcTemplate, FrozenDcCache, FrozenDcPhases,
     FrozenDcSession, FrozenDcStats, SolveReport,
 };
 pub use element::{DiodeModel, Element, MemristorModel, MemristorState, OpAmpModel};
 pub use error::CircuitError;
 pub use ids::{ElementId, NodeId};
-pub use ohmflow_linalg::{
-    ColumnOrdering, Precision, RefactorStrategy, SparseLuOptions as LuOptions,
-};
+pub use ohmflow_linalg::{ColumnOrdering, Precision, SparseLuOptions as LuOptions};
 pub use source::SourceValue;
 pub use transient::{IntegrationMethod, TransientAnalysis, TransientOptions};
 pub use waveform::{Waveform, WaveformSet};

@@ -33,7 +33,7 @@ proptest! {
             }
             prev = nxt;
         }
-        let sol = DcSolver::new().solve(&ckt).unwrap().0;
+        let sol = DcSolver::new().solve(&ckt, None).unwrap().0;
         // Voltages decrease monotonically along the ladder and stay in [0,1].
         let mut last = 1.0f64;
         for n in nodes {
@@ -68,7 +68,7 @@ proptest! {
             ckt.resistor(a, mid, r1);
             ckt.resistor(b, mid, r2);
             ckt.resistor(mid, Circuit::GROUND, r3);
-            DcSolver::new().solve(&ckt).unwrap().0.voltage(mid)
+            DcSolver::new().solve(&ckt, None).unwrap().0.voltage(mid)
         };
         let both = solve(v1, v2);
         let only1 = solve(v1, 0.0);
@@ -87,7 +87,7 @@ proptest! {
         ckt.voltage_source(c, Circuit::GROUND, SourceValue::dc(clamp));
         ckt.diode(x, c, DiodeModel::ideal());
         ckt.diode(Circuit::GROUND, x, DiodeModel::ideal());
-        let sol = DcSolver::new().solve(&ckt).unwrap().0;
+        let sol = DcSolver::new().solve(&ckt, None).unwrap().0;
         let v = sol.voltage(x);
         // Within clamp bounds up to the r_on/r divider error.
         prop_assert!(v >= -0.01 && v <= clamp + 0.01, "v={v} clamp={clamp}");

@@ -7,7 +7,7 @@
 //! with interior-point methods), with piecewise-linear segments separated
 //! by *breakpoints* where a capacity clamp engages.
 
-use ohmflow_circuit::{DcPlan, DcSolver};
+use ohmflow_circuit::{DcSolver, DcTemplate, LuOptions};
 use ohmflow_graph::FlowNetwork;
 use rayon::prelude::*;
 
@@ -71,21 +71,22 @@ pub fn trace_quasi_static(
     // from a template-instantiated circuit — and each worker derives a
     // thread-local numeric factor from the shared symbolic plan.
     let dcs = DcSolver::new();
-    let plan: Option<DcPlan> = match sc.dc_template() {
-        Some(t) => Some(dcs.plan_from(std::sync::Arc::clone(t))),
-        None => dcs.plan(sc.circuit()).ok(),
+    let own;
+    let tpl = match sc.dc_template() {
+        Some(t) => Some(&**t),
+        None => {
+            own = DcTemplate::new(sc.circuit(), LuOptions::default()).ok();
+            own.as_ref()
+        }
     };
     let samples: Vec<usize> = (0..=steps).collect();
     let flows = samples
         .par_iter()
         .map(|&k| {
             let t = k as f64 / steps as f64; // ramp position in [0, 1]
-            match &plan {
-                Some(plan) => plan.solve_at(sc.circuit(), t),
-                None => dcs.solve_at(sc.circuit(), t),
-            }
-            .map(|(sol, _)| sc.edge_flows(|n| sol.voltage(n)))
-            .map_err(AnalogError::from)
+            dcs.solve_at(sc.circuit(), tpl, t)
+                .map(|(sol, _)| sc.edge_flows(|n| sol.voltage(n)))
+                .map_err(AnalogError::from)
         })
         .collect::<Vec<Result<Vec<f64>, AnalogError>>>()
         .into_iter()

@@ -870,7 +870,7 @@ fn rekey(
 
     let dc = engine
         .dc_solver()
-        .session_from_host(sc, tpl.dc_template())?
+        .session(sc, Some(tpl.dc_template()))?
         .with_max_rank(SESSION_MAX_RANK)
         .with_deferred_consolidation();
     let level_sources = tpl.level_sources().to_vec();

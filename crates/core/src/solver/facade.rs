@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use ohmflow_circuit::{
     Circuit, ColumnOrdering, DcTemplate, ElementId, FrozenDcPhases, FrozenDcSession, FrozenDcStats,
-    LuOptions, NodeId, RefactorStrategy, SolveReport,
+    LuOptions, NodeId, SolveReport,
 };
 use ohmflow_graph::FlowNetwork;
 use rayon::prelude::*;
@@ -70,8 +70,6 @@ pub struct SolveOptions {
     /// stored precision) for every LU in the stack — plans, sessions,
     /// cold fallbacks.
     pub lu: LuOptions,
-    /// How numeric refactorizations schedule their column replay.
-    pub refactor: RefactorStrategy,
     /// Per-phase wall-clock attribution on sessions (off by default:
     /// clock reads tax small systems).
     pub phase_timing: bool,
@@ -106,7 +104,6 @@ impl SolveOptions {
             settle_fraction: 1e-3,
             engine: RelaxationEngine::default(),
             lu: LuOptions::default(),
-            refactor: RefactorStrategy::default(),
             phase_timing: false,
             plan_cache_bytes: DEFAULT_CAPACITY_BYTES,
         }
@@ -162,12 +159,6 @@ impl SolveOptions {
     /// Sets the relaxation-transient backend.
     pub fn with_engine(mut self, engine: RelaxationEngine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Sets the numeric-refactorization scheduling.
-    pub fn with_refactor_strategy(mut self, strategy: RefactorStrategy) -> Self {
-        self.refactor = strategy;
         self
     }
 
@@ -419,7 +410,7 @@ impl MaxFlowSolver {
             .collect();
         let shared: Option<Arc<DcTemplate>> = (built.len() >= 2
             && template::uniform_structure(&built))
-        .then(|| DcTemplate::with_options(built[0].circuit(), engine.options().lu).ok())
+        .then(|| DcTemplate::new(built[0].circuit(), engine.options().lu).ok())
         .flatten()
         .map(Arc::new);
 
@@ -631,7 +622,7 @@ impl Instance {
         let inner = self
             .engine
             .dc_solver()
-            .session_from(self.sc.circuit(), self.tpl.dc_template())
+            .session(self.sc.circuit(), Some(self.tpl.dc_template()))
             .map_err(AnalogError::from)?;
         Ok(Session {
             inner,

@@ -204,12 +204,11 @@ impl AnalogMaxFlow {
         self.cache.audit()
     }
 
-    /// The circuit-level staged solver configured exactly as this engine:
-    /// same factorization options, refactor scheduling and phase timing.
+    /// The circuit-level solver configured exactly as this engine: same
+    /// factorization options and phase timing.
     fn dc_solver(&self) -> DcSolver {
         DcSolver::new()
             .lu_options(self.opts.lu)
-            .refactor_strategy(self.opts.refactor)
             .phase_timing(self.opts.phase_timing)
     }
 
@@ -362,16 +361,10 @@ impl AnalogMaxFlow {
                 fingerprint.expect("invariant: cached templates always come with a fingerprint"),
             )
         });
-        let (sol, report) = match (sc.dc_template(), warm) {
-            (Some(dc), warm) => {
-                let plan = dcs.plan_from(Arc::clone(dc));
-                match warm {
-                    Some(w) => plan.solve_warm(sc.circuit(), &w),
-                    None => plan.solve(sc.circuit()),
-                }
-            }
-            (None, Some(w)) => dcs.solve_warm(sc.circuit(), &w),
-            (None, None) => dcs.solve(sc.circuit()),
+        let dc = sc.dc_template().map(|t| &**t);
+        let (sol, report) = match warm {
+            Some(w) => dcs.solve_warm(sc.circuit(), dc, &w),
+            None => dcs.solve(sc.circuit(), dc),
         }
         .map_err(AnalogError::from)?;
         if let (Some(t), Some(fp)) = (tpl, fingerprint) {
@@ -443,14 +436,11 @@ impl AnalogMaxFlow {
                 // available — an explicitly shared batch template first,
                 // else whatever the instantiation attached to the circuit —
                 // paying only a numeric-only refactorization instead of
-                // structure + ordering + symbolic analysis. The staged
-                // circuit facade threads the configured factorization
-                // options, refactor scheduling and phase timing through.
-                let dcs = self.dc_solver();
-                let session = match shared.or(sc.dc_template().map(|t| &**t)) {
-                    Some(tpl) => dcs.session_from(sc.circuit(), tpl),
-                    None => dcs.session(sc.circuit()),
-                };
+                // structure + ordering + symbolic analysis. The circuit
+                // solver threads the configured factorization options and
+                // phase timing through.
+                let tpl = shared.or(sc.dc_template().map(|t| &**t));
+                let session = self.dc_solver().session(sc.circuit(), tpl);
                 let mut eq = SessionEquilibrium {
                     session: session.map_err(AnalogError::from)?,
                 };

@@ -311,8 +311,7 @@ impl SubstrateTemplate {
         lu: ohmflow_circuit::LuOptions,
     ) -> Result<Self, AnalogError> {
         let (skeleton, level_sources) = build_with_layout(g, params, opts, LevelLayout::PerEdge)?;
-        let dc =
-            Arc::new(DcTemplate::with_options(skeleton.circuit(), lu).map_err(AnalogError::from)?);
+        let dc = Arc::new(DcTemplate::new(skeleton.circuit(), lu).map_err(AnalogError::from)?);
         Ok(SubstrateTemplate {
             key: TemplateKey::of(g),
             params: params.clone(),

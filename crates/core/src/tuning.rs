@@ -11,7 +11,7 @@
 //! iterating the two steps until the negation error is below a target.
 //! Memristive resistors make the fine-grained modulation possible (§3).
 
-use ohmflow_circuit::{Circuit, DcPlan, DcSolver, ElementId, NodeId, SourceValue};
+use ohmflow_circuit::{Circuit, DcSolver, DcTemplate, ElementId, LuOptions, NodeId, SourceValue};
 
 use crate::AnalogError;
 
@@ -46,7 +46,7 @@ pub struct TuningCircuit {
     /// circuit ~100 times per outer iteration (bisection on `r1`) with only
     /// resistor/source *values* changing, which is exactly the plan's
     /// value-only fast path.
-    plan: Option<DcPlan>,
+    tpl: Option<DcTemplate>,
 }
 
 impl TuningCircuit {
@@ -73,7 +73,7 @@ impl TuningCircuit {
         let r3_id = ckt.resistor(p, Circuit::GROUND, -r3);
         // A light load fixes x⁻'s level as in the real widget.
         ckt.resistor(xneg, Circuit::GROUND, 100.0 * r1);
-        let plan = DcSolver::new().plan(&ckt).ok();
+        let tpl = DcTemplate::new(&ckt, LuOptions::default()).ok();
         TuningCircuit {
             ckt,
             xneg,
@@ -83,7 +83,7 @@ impl TuningCircuit {
             r1,
             r2,
             r3,
-            plan,
+            tpl,
         }
     }
 
@@ -91,12 +91,10 @@ impl TuningCircuit {
         self.ckt
             .set_source_value(self.src, SourceValue::dc(vx))
             .expect("invariant: tuner ids are recorded at build time");
-        let sol = match &self.plan {
-            Some(plan) => plan.solve(&self.ckt),
-            None => DcSolver::new().solve(&self.ckt),
-        }
-        .map_err(AnalogError::from)?
-        .0;
+        let sol = DcSolver::new()
+            .solve(&self.ckt, self.tpl.as_ref())
+            .map_err(AnalogError::from)?
+            .0;
         Ok(sol.voltage(self.xneg))
     }
 

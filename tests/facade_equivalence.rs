@@ -17,7 +17,8 @@ use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 use ohmflow::solver::facade::{MaxFlowSolver, Problem, SolveOptions};
-use ohmflow_circuit::{ColumnOrdering, DcSolver, LuOptions, Precision};
+use ohmflow::DeltaBatch;
+use ohmflow_circuit::{ColumnOrdering, DcSolver, DcTemplate, FrozenDcPhases, LuOptions, Precision};
 use ohmflow_graph::{generators, FlowNetwork};
 
 /// A random small flow network with a guaranteed source→sink spine plus
@@ -124,7 +125,7 @@ proptest! {
         let n_diodes = ckt.diode_count();
         assert!(n_diodes > 0, "substrate always carries clamp diodes");
 
-        let mut cold = DcSolver::new().session(ckt).expect("cold session");
+        let mut cold = DcSolver::new().session(ckt, None).expect("cold session");
         let mut planned = instance.session().expect("plan session");
         prop_assert!(planned.report().templated, "plan session must ride the plan");
 
@@ -211,9 +212,9 @@ fn transient_paths_are_self_consistent() {
     }
 }
 
-/// Circuit-level consistency: `DcSolver::solve` (cold path inline) vs a
-/// `DcPlan` solve (template fast path) on the substrate circuit of a real
-/// instance.
+/// Circuit-level consistency: `DcSolver::solve` without a template (cold
+/// path inline) vs with one (template fast path) on the substrate circuit
+/// of a real instance.
 #[test]
 fn dc_plan_solve_matches_cold_solve() {
     let g = generators::fig15a(40);
@@ -224,10 +225,11 @@ fn dc_plan_solve_matches_cold_solve() {
         .instance(&g)
         .expect("instance");
     let ckt = instance.substrate().circuit();
-    let (cold, report) = DcSolver::new().solve(ckt).expect("cold dc");
+    let dcs = DcSolver::new();
+    let (cold, report) = dcs.solve(ckt, None).expect("cold dc");
     assert!(report.iterations >= 1);
-    let dc_plan = DcSolver::new().plan(ckt).expect("dc plan");
-    let (planned, preport) = dc_plan.solve(ckt).expect("planned dc");
+    let dc_tpl = DcTemplate::new(ckt, LuOptions::default()).expect("dc template");
+    let (planned, preport) = dcs.solve(ckt, Some(&dc_tpl)).expect("planned dc");
     assert!(preport.templated, "matching plan must ride the template");
     for (u, (a, b)) in planned.values().iter().zip(cold.values()).enumerate() {
         assert!(
@@ -240,7 +242,9 @@ fn dc_plan_solve_matches_cold_solve() {
 /// Ordering audit: a plan built under AMD+BTF can never silently fall
 /// back to a differently-ordered fresh factorization — neither in the
 /// facade's plans, nor in sessions, nor in the cold fallback path of a
-/// mismatched plan (templates remember their options).
+/// mismatched template passed to any `DcSolver` entry point (templates
+/// remember their options, and a passed template's options win over the
+/// solver's).
 #[test]
 fn amd_btf_plan_never_falls_back_to_another_ordering() {
     let g = generators::fig15a(40);
@@ -276,19 +280,18 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
     // A Natural-ordered solver on the same circuit shows the observable
     // actually discriminates (one monolithic block).
     let ckt = instance.substrate().circuit();
-    let (_, natural) = DcSolver::new()
-        .lu_options(LuOptions {
-            ordering: ColumnOrdering::Natural,
-            ..LuOptions::default()
-        })
-        .solve(ckt)
-        .expect("natural solve");
+    let natural_dcs = DcSolver::new().lu_options(LuOptions {
+        ordering: ColumnOrdering::Natural,
+        ..LuOptions::default()
+    });
+    let (_, natural) = natural_dcs.solve(ckt, None).expect("natural solve");
     assert_eq!(natural.block_count, 1, "natural order has no BTF blocks");
 
-    // Circuit-level: a DcPlan whose template does NOT match the solved
-    // circuit falls back to a fresh factorization — which must still run
-    // under the plan's own AMD+BTF options, not some default or caller
-    // ordering.
+    // Circuit-level: a template that does NOT match the solved circuit
+    // falls back to a fresh factorization — which must still run under
+    // the template's own AMD+BTF options, not the solver's. The solver
+    // here is the Natural-ordered one, so every BTF block count below
+    // proves the template's options won.
     // A genuinely different structure (fig15a only varies capacities on
     // the same diamond, so a layered graph is used for the mismatch).
     let g_other = generators::layered(3, 2, 5, 1).expect("layered");
@@ -297,24 +300,43 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
         .expect("plan other")
         .instance(&g_other)
         .expect("instance other");
-    let dc_plan = DcSolver::new()
-        .lu_options(LuOptions {
+    let dc_tpl = DcTemplate::new(
+        ckt,
+        LuOptions {
             ordering: ColumnOrdering::AmdBtf,
             ..LuOptions::default()
-        })
-        .plan(ckt)
-        .expect("dc plan");
-    assert_eq!(dc_plan.lu_options().ordering, ColumnOrdering::AmdBtf);
+        },
+    )
+    .expect("dc template");
+    assert_eq!(dc_tpl.lu_options().ordering, ColumnOrdering::AmdBtf);
     let mismatched = other.substrate().circuit();
-    assert!(!dc_plan.template().matches(mismatched));
-    let (_, fallback) = dc_plan.solve(mismatched).expect("fallback solve");
+    assert!(!dc_tpl.matches(mismatched));
+    let (fb_sol, fallback) = natural_dcs
+        .solve(mismatched, Some(&dc_tpl))
+        .expect("fallback solve");
     assert!(!fallback.templated, "mismatch must fall back cold");
     assert!(
         fallback.block_count > 1,
         "cold fallback kept the plan's AMD+BTF ordering (blocks {})",
         fallback.block_count
     );
-    let fb_session = dc_plan.session(mismatched).expect("fallback session");
+    let (_, fb_at) = natural_dcs
+        .solve_at(mismatched, Some(&dc_tpl), 1.0)
+        .expect("fallback solve_at");
+    let (_, fb_warm) = natural_dcs
+        .solve_warm(mismatched, Some(&dc_tpl), fb_sol.device_states())
+        .expect("fallback solve_warm");
+    for (entry, r) in [("solve_at", fb_at), ("solve_warm", fb_warm)] {
+        assert!(!r.templated, "{entry}: mismatch must fall back cold");
+        assert!(
+            r.block_count > 1,
+            "{entry}: cold fallback kept the template's AMD+BTF ordering (blocks {})",
+            r.block_count
+        );
+    }
+    let fb_session = natural_dcs
+        .session(mismatched, Some(&dc_tpl))
+        .expect("fallback session");
     let fb_report = fb_session.report();
     assert!(!fb_report.templated);
     assert!(
@@ -322,6 +344,47 @@ fn amd_btf_plan_never_falls_back_to_another_ordering() {
         "fallback session kept the plan's AMD+BTF ordering (blocks {})",
         fb_report.block_count
     );
+}
+
+/// Phase timing reaches every session kind through the options record:
+/// `SolveOptions::phase_timing` → `DcSolver::phase_timing` → the frozen-DC
+/// session behind `Instance::session` and behind a `DeltaSession`, both
+/// after a value-only capacity batch and after a batch that re-keys the
+/// plan (the re-key builds a new session). With timing off, no session
+/// reports phases.
+#[test]
+fn phase_timing_reaches_sessions() {
+    let g = generators::fig5a();
+    for on in [true, false] {
+        let check = |phases: Option<FrozenDcPhases>, what: &str| match phases {
+            Some(p) => assert!(on && p.total_ns() > 0, "{what}: phases {p:?}, timing {on}"),
+            None => assert!(!on, "{what}: timing on but no phases reported"),
+        };
+        let solver = MaxFlowSolver::new(SolveOptions::ideal().with_phase_timing(on));
+        let instance = solver
+            .plan(&g)
+            .expect("plan")
+            .instance(&g)
+            .expect("instance");
+        let n_diodes = instance.substrate().circuit().diode_count();
+        let mut session = instance.session().expect("session");
+        session
+            .solve(0.0, &vec![false; n_diodes])
+            .expect("session solve");
+        check(session.report().phases, "instance session");
+
+        let mut delta = solver.delta_session(&g).expect("delta session");
+        let report = delta
+            .apply_deltas(&DeltaBatch::new().set_capacity(0, 5))
+            .expect("capacity batch");
+        assert!(!report.replanned, "a capacity batch stays value-only");
+        check(delta.report().phases, "delta session, capacity batch");
+        let report = delta
+            .apply_deltas(&DeltaBatch::new().insert_edge(1, 3, 3))
+            .expect("replan batch");
+        assert!(report.replanned, "a novel endpoint pair must re-key");
+        check(delta.report().phases, "delta session, replan batch");
+    }
 }
 
 proptest! {
