@@ -1,5 +1,7 @@
 //! Microprofile of the incremental frozen-DC engine: where a relaxation
-//! time step spends its nanoseconds, and the session's effort counters.
+//! time step spends its nanoseconds, and the session's effort counters;
+//! then the plan-hit operating point on vision-shaped graphs: work counts
+//! and per-phase times per answer.
 //!
 //! Run with: `cargo run --release -p ohmflow-bench --bin engine_profile`
 
@@ -11,7 +13,9 @@ use ohmflow::{MaxFlowSolver, SolveOptions};
 use ohmflow::{SubstrateParams, SubstrateTemplate};
 use ohmflow_bench::median_ns;
 use ohmflow_circuit::{DcSolver, DcTemplate, LuOptions};
-use ohmflow_graph::generators;
+use ohmflow_graph::{generators, FlowNetwork};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 fn main() {
     let g = generators::fig15a(100);
@@ -139,5 +143,117 @@ fn main() {
         }
         let per = t0.elapsed().as_micros() as f64 / reps as f64;
         println!("{label:<14} : {per:>8.1} µs/solve  (value {value:.3})");
+    }
+
+    plan_hit_profile();
+}
+
+/// The plan-hit operating point on vision-shaped graphs (square grids of
+/// side 3–6, layered DAGs of 2–4 layers of width 2–5) under
+/// `SolveOptions::ideal()`: per shape, one plan and `ANSWERS` instances
+/// with fresh capacities, reporting per answer the state iterations, the
+/// always-on work counts (restamps, refactors, fresh factorizations), the
+/// untimed wall time and — from a second, phase-timed pass over the same
+/// capacities — the stamp / refactor / triangular-solve split, with the
+/// unattributed rest (state updates, instantiation, readout).
+fn plan_hit_profile() {
+    const ANSWERS: usize = 200;
+    let mut shapes: Vec<(String, FlowNetwork)> = (3..=6)
+        .map(|side| {
+            let g = generators::grid(side, side, 100, side as u64).expect("grid");
+            (format!("grid{side}"), g)
+        })
+        .collect();
+    for layers in 2..=4 {
+        for width in 2..=5 {
+            let g = generators::layered(layers, width, 100, (layers * 10 + width) as u64)
+                .expect("layered");
+            shapes.push((format!("layered{layers}x{width}"), g));
+        }
+    }
+    println!("--- plan-hit operating point, per answer ({ANSWERS} answers per shape) ---");
+    println!(
+        "{:<12} {:>5} {:>6} {:>8} {:>9} {:>5} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "shape",
+        "n",
+        "iters",
+        "restamps",
+        "refactors",
+        "facts",
+        "wall_us",
+        "stamp_us",
+        "refac_us",
+        "solve_us",
+        "other_us"
+    );
+    for (name, g) in &shapes {
+        let mut rng = StdRng::seed_from_u64(7);
+        let variants: Vec<FlowNetwork> = (0..ANSWERS)
+            .map(|_| {
+                let mut h =
+                    FlowNetwork::new(g.vertex_count(), g.source(), g.sink()).expect("endpoints");
+                for e in g.edges() {
+                    h.add_edge(e.from, e.to, rng.gen_range(1..=100))
+                        .expect("edge");
+                }
+                h
+            })
+            .collect();
+        let untimed = MaxFlowSolver::new(SolveOptions::ideal());
+        let plan = untimed.plan(g).expect("plan");
+        let n = plan
+            .instance(g)
+            .expect("instance")
+            .substrate()
+            .dc_template()
+            .expect("plan instances carry their DC template")
+            .structure()
+            .n_unknowns();
+        let (mut iters, mut restamps, mut refactors, mut facts) = (0, 0, 0, 0);
+        let t0 = Instant::now();
+        for h in &variants {
+            let r = plan
+                .instance(h)
+                .expect("instance")
+                .solve()
+                .expect("solve")
+                .report;
+            iters += r.iterations;
+            restamps += r.restamps;
+            refactors += r.refactors;
+            facts += r.factorizations;
+        }
+        let wall_us = t0.elapsed().as_secs_f64() * 1e6 / ANSWERS as f64;
+        let timed = MaxFlowSolver::new(SolveOptions::ideal().with_phase_timing(true));
+        let plan = timed.plan(g).expect("plan");
+        let (mut stamp, mut refactor, mut solve) = (0u64, 0u64, 0u64);
+        let t0 = Instant::now();
+        for h in &variants {
+            let p = plan
+                .instance(h)
+                .expect("instance")
+                .solve()
+                .expect("solve")
+                .report
+                .phases
+                .expect("phase timing on");
+            stamp += p.stamp_ns;
+            refactor += p.refactor_ns;
+            solve += p.solve_ns;
+        }
+        let timed_us = t0.elapsed().as_secs_f64() * 1e6 / ANSWERS as f64;
+        let per = |ns: u64| ns as f64 / 1e3 / ANSWERS as f64;
+        let per_count = |c: usize| c as f64 / ANSWERS as f64;
+        println!(
+            "{name:<12} {n:>5} {:>6.2} {:>8.2} {:>9.2} {:>5.2} {wall_us:>8.1} {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
+            per_count(iters),
+            per_count(restamps),
+            per_count(refactors),
+            per_count(facts),
+            per(stamp),
+            per(refactor),
+            per(solve),
+            timed_us - per(stamp + refactor + solve),
+        );
     }
 }

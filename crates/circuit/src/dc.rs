@@ -1,6 +1,5 @@
 use std::borrow::{Borrow, BorrowMut};
 use std::sync::Arc;
-use std::time::Instant;
 
 use ohmflow_linalg::{
     vecops, CscMatrix, LowRankUpdate, LuWorkspace, Precision, RankOneTermRef, SparseLu, SymbolicLu,
@@ -12,7 +11,8 @@ use crate::circuit::Circuit;
 use crate::element::Element;
 use crate::error::CircuitError;
 use crate::ids::{ElementId, NodeId};
-use crate::mna::{self, DeviceState, MnaStructure, Solution, StampMode};
+use crate::mna::{self, DeviceState, MnaStructure, Solution, StampMode, StampedMatrix};
+use crate::timing::PhaseTimer;
 
 /// One owned rank-1 term `(u, v)` staged for a batched Woodbury push
 /// (the borrowed shape is [`RankOneTermRef`]).
@@ -21,8 +21,9 @@ use crate::source::SourceValue;
 
 /// A reusable, shareable cold-path artifact for one circuit *topology* — the
 /// DC layer's one plan type: the MNA unknown map, the base
-/// (all-states-initial) matrix sparsity, and its factorization — symbolic
-/// ordering/pattern plus one numeric factor.
+/// (all-states-initial) matrix in its CSC pattern with the resolved slot of
+/// every stamp, and its factorization — symbolic ordering/pattern plus one
+/// numeric factor.
 ///
 /// Building a template performs the entire topology-dependent cold path
 /// once: unknown indexing, stamping, fill-reducing ordering, symbolic
@@ -41,8 +42,9 @@ use crate::source::SourceValue;
 /// [`LuOptions`] — transparently when the template does not match the
 /// circuit. A template owns no borrow of the circuit it was derived from,
 /// is `Send + Sync`, and is typically held behind an [`Arc`] and shared
-/// across batch workers; each worker's numeric refactorization clones only
-/// the value arrays while the symbolic plan ([`DcTemplate::symbolic`]) is
+/// across batch workers; each worker's numeric start clones the base
+/// matrix (restamped in place with its circuit's values) and the factor's
+/// value arrays, while the symbolic plan ([`DcTemplate::symbolic`]) is
 /// shared by pointer.
 #[derive(Debug)]
 pub struct DcTemplate {
@@ -50,6 +52,9 @@ pub struct DcTemplate {
     /// Whether each element carries a branch-current unknown, element
     /// order: the structural fingerprint a candidate circuit must match.
     branch_shape: Vec<bool>,
+    /// The base matrix, stamped into its pattern: every numeric start
+    /// clones it and restamps the circuit's values into the same slots.
+    base: StampedMatrix,
     lu: SparseLu,
     /// The factorization options (column ordering, pivoting thresholds)
     /// the template's symbolic plan was built under — reused by every
@@ -76,11 +81,12 @@ impl DcTemplate {
             .iter()
             .map(Element::has_branch_current)
             .collect();
-        let m = mna::stamp_matrix(ckt, &st, &states, StampMode::Dc).to_csc();
-        let lu = SparseLu::factor_with(&m, &lu_opts)?;
+        let base = StampedMatrix::assemble(ckt, &st, &states, StampMode::Dc);
+        let lu = SparseLu::factor_with(base.csc(), &lu_opts)?;
         Ok(DcTemplate {
             st,
             branch_shape,
+            base,
             lu,
             lu_opts,
             n_nodes: ckt.node_count(),
@@ -107,6 +113,13 @@ impl DcTemplate {
         &self.lu
     }
 
+    /// Bytes the template's base matrix holds: its CSC pattern, values
+    /// and resolved stamp slots (the factor is counted separately through
+    /// [`SparseLu::factor_nnz`]).
+    pub fn pattern_bytes(&self) -> usize {
+        self.base.bytes()
+    }
+
     /// `true` if `ckt` has the structure this template was built from:
     /// same node count and the same element-by-element branch-current
     /// shape. Values (resistances, source waveforms, device models) may
@@ -126,56 +139,76 @@ impl DcTemplate {
                 .all(|(e, &b)| e.has_branch_current() == b)
     }
 
-    /// Numeric-only factorization of `ckt`'s initial-state matrix against
-    /// the template's symbolic plan, with a fresh pivoting factorization as
-    /// fallback. Returns the factor, the stamped matrix and whether the
-    /// fast path was taken.
+    /// Numeric-only factorization of `ckt`'s `states` matrix against the
+    /// template's symbolic plan, with a fresh pivoting factorization as
+    /// fallback: the base matrix is cloned and restamped in place (a stamp
+    /// outside its pattern assembles a new one). Returns the factor and
+    /// the stamped matrix, and counts the work (and times it, when
+    /// `report.phases` is present) into `report`.
     fn numeric_for(
         &self,
         ckt: &Circuit,
         states: &[DeviceState],
-    ) -> Result<(SparseLu, CscMatrix, bool), CircuitError> {
-        let m = mna::stamp_matrix(ckt, &self.st, states, StampMode::Dc).to_csc();
+        report: &mut SolveReport,
+    ) -> Result<(SparseLu, StampedMatrix), CircuitError> {
+        let timed = report.phases.is_some();
+        let mut phases = report.phases.unwrap_or_default();
+        let t = PhaseTimer::start(timed);
+        let mut m = self.base.clone();
+        m.update(ckt, &self.st, states, StampMode::Dc);
+        report.restamps += 1;
+        t.stop(&mut phases.stamp_ns);
+        let t = PhaseTimer::start(timed);
         let mut lu = self.lu.clone();
-        if lu.refactor(&m).is_ok() {
-            Ok((lu, m, true))
+        let fresh = if lu.refactor(m.csc()).is_ok() {
+            report.refactors += 1;
+            Ok(lu)
         } else {
-            let lu = SparseLu::factor_with(&m, &self.lu_opts)?;
-            Ok((lu, m, false))
-        }
+            report.factorizations += 1;
+            SparseLu::factor_with(m.csc(), &self.lu_opts)
+        };
+        t.stop(&mut phases.refactor_ns);
+        report.phases = timed.then_some(phases);
+        Ok((fresh?, m))
     }
 }
 
 /// The one DC operating-point solve body (state iteration + iterative
 /// refinement). Every [`DcSolver`] `solve*` entry point is a thin shim over
 /// this function, which is what makes their equivalence structural rather
-/// than coincidental. `lu_opts` are the solver's own options.
+/// than coincidental. `lu_opts` are the solver's own options;
+/// `phase_timing` turns on the report's per-phase times.
 fn run_dc(
     ckt: &Circuit,
     tpl: Option<&DcTemplate>,
     at_time: Option<f64>,
     warm: Option<&[DeviceState]>,
     lu_opts: LuOptions,
+    phase_timing: bool,
 ) -> Result<(DcSolution, SolveReport), CircuitError> {
+    let mut report = SolveReport {
+        phases: phase_timing.then(FrozenDcPhases::default),
+        ..SolveReport::default()
+    };
     let initial = mna::initial_states(ckt);
     // Template fast path: reuse the unknown map and prime the factor
-    // cache with a numeric-only refactorization for this circuit's
-    // *values* (they may differ from the template's). A failed
-    // refactorization simply leaves the cache cold. Matched once: the
-    // same template decides the structure and the cache seed.
+    // cache with the template's base matrix, restamped in place with this
+    // circuit's *values* (they may differ from the template's), and a
+    // numeric-only refactorization. A failed priming simply leaves the
+    // cache cold. Matched once: the same template decides the structure
+    // and the cache seed.
     let matched_tpl = tpl.filter(|t| t.matches(ckt));
     // `templated` reports whether the solve actually rode the template's
     // factorization — a failed priming (singular stamp under the
     // template's pivots) or a warm-start retry below demotes it, so the
     // report never claims a fast path that did not happen.
-    let mut templated = false;
     let (st, mut cache) = match matched_tpl {
         Some(tpl) => {
             let cache = tpl
-                .numeric_for(ckt, &initial)
+                .numeric_for(ckt, &initial, &mut report)
                 .ok()
-                .map(|(lu, m, _)| (initial.clone(), lu, m));
-            templated = cache.is_some();
+                .map(|(lu, m)| (initial.clone(), lu, m));
+            report.templated = cache.is_some();
             (tpl.st.clone(), cache)
         }
         None => (MnaStructure::new(ckt), None),
@@ -199,21 +232,22 @@ fn run_dc(
     // plan never factors under an ordering other than its own. The
     // solver's options apply only to template-less solves.
     let lu_opts = tpl.map_or(lu_opts, |p| *p.lu_options());
-    let solve = |states: &mut Vec<DeviceState>,
-                 cache: &mut Option<(Vec<DeviceState>, SparseLu, CscMatrix)>| {
-        mna::solve_pwl(
-            ckt,
-            &st,
-            states,
-            t,
-            StampMode::Dc,
-            None,
-            pre_step,
-            &lu_opts,
-            cache,
-        )
-    };
-    let (mut x, iterations) = match solve(&mut states, &mut cache) {
+    let solve =
+        |states: &mut Vec<DeviceState>, cache: &mut mna::FactorCache, report: &mut SolveReport| {
+            mna::solve_pwl(
+                ckt,
+                &st,
+                states,
+                t,
+                StampMode::Dc,
+                None,
+                pre_step,
+                &lu_opts,
+                cache,
+                report,
+            )
+        };
+    let (mut x, iterations) = match solve(&mut states, &mut cache, &mut report) {
         Ok(out) => out,
         Err(CircuitError::StateIterationDiverged { .. } | CircuitError::SingularSystem { .. })
             if warm_used =>
@@ -224,8 +258,8 @@ fn run_dc(
             // node). Retry from the default initial states.
             states = initial;
             cache = None;
-            templated = false;
-            solve(&mut states, &mut cache)?
+            report.templated = false;
+            solve(&mut states, &mut cache, &mut report)?
         }
         Err(e) => return Err(e),
     };
@@ -239,28 +273,35 @@ fn run_dc(
     // step recovers the digits the narrow factor lacks, and the f64
     // residual drives the error to the same 1e-9 gates — stopping when
     // the residual is at the noise floor or no longer shrinking.
-    let mut refinements = 0usize;
     if let Some((cached_states, lu, m)) = &cache {
         if *cached_states == states {
+            let timer = PhaseTimer::start(phase_timing);
             let b = mna::stamp_rhs(ckt, &st, &states, t, StampMode::Dc, None, pre_step);
             let max_steps = match lu.symbolic().precision() {
                 Precision::F64 => 1,
                 Precision::F32Refined => 6,
             };
             let (mut work, mut r, mut dx) = (Vec::new(), Vec::new(), Vec::new());
-            refinements = mna::refine_f64(lu, m, &b, &mut x, &mut work, &mut r, &mut dx, max_steps);
+            report.refinements = mna::refine_f64(
+                lu,
+                m.csc(),
+                &b,
+                &mut x,
+                &mut work,
+                &mut r,
+                &mut dx,
+                max_steps,
+            );
+            if let Some(p) = report.phases.as_mut() {
+                timer.stop(&mut p.solve_ns);
+            }
         }
     }
-    let report = SolveReport {
-        iterations,
-        factor_nnz: cache.as_ref().map_or(0, |(_, lu, _)| lu.factor_nnz()),
-        block_count: cache
-            .as_ref()
-            .map_or(0, |(_, lu, _)| lu.symbolic().block_count()),
-        templated,
-        refinements,
-        phases: None,
-    };
+    report.iterations = iterations;
+    if let Some((_, lu, _)) = &cache {
+        report.factor_nnz = lu.factor_nnz();
+        report.block_count = lu.symbolic().block_count();
+    }
     Ok((
         DcSolution {
             inner: Solution::new(x, st),
@@ -278,9 +319,11 @@ fn run_dc(
 /// an operating-point solve, or the number of frozen-state solves for a
 /// session; `factor_nnz`/`block_count` describe the factorization that
 /// produced the answer (`nnz(L+U)` and the number of BTF diagonal blocks);
-/// `templated` records whether the symbolic-reuse fast path was taken; and
-/// `phases` carries the per-phase wall-clock attribution when the caller
-/// opted into [`DcSolver::phase_timing`].
+/// `templated` records whether the symbolic-reuse fast path was taken;
+/// `restamps`/`refactors`/`factorizations` count the linear-algebra work
+/// behind the answer (always on, no clock reads); and `phases` carries the
+/// per-phase wall-clock attribution when the caller opted into
+/// [`DcSolver::phase_timing`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveReport {
     /// State iterations (operating-point solve) or frozen-state solves
@@ -300,8 +343,21 @@ pub struct SolveReport {
     /// in this count is the observable symptom of a conditioning
     /// regression under reduced precision.
     pub refinements: usize,
-    /// Per-phase wall-clock attribution (sessions with
-    /// [`DcSolver::phase_timing`] enabled only).
+    /// Matrix stamps: in-place restamps into a standing CSC pattern, plus
+    /// the triplet assemblies that discover a pattern (the cold start, or
+    /// a stamp that left its pattern). Each precedes one refactor or fresh
+    /// factorization.
+    pub restamps: usize,
+    /// Numeric-only refactorizations against a standing symbolic plan.
+    pub refactors: usize,
+    /// Fresh pivoting factorizations (ordering, symbolic analysis and
+    /// numeric factorization). A plan-hit operating point makes none.
+    pub factorizations: usize,
+    /// Per-phase wall-clock attribution, present when
+    /// [`DcSolver::phase_timing`] is enabled. An operating-point solve
+    /// attributes stamping (matrix and right-hand sides), refactors and
+    /// factorizations, and triangular solves with refinement; it has no
+    /// Woodbury phase.
     pub phases: Option<FrozenDcPhases>,
 }
 
@@ -367,9 +423,10 @@ impl DcSolver {
         self
     }
 
-    /// Enables per-phase wall-clock attribution on sessions created by
-    /// this solver (see [`FrozenDcSession::phase_times`]). Off by default:
-    /// clock reads tax every step of small systems.
+    /// Enables per-phase wall-clock attribution on this solver's
+    /// operating-point solves ([`SolveReport::phases`]) and sessions (see
+    /// [`FrozenDcSession::phase_times`]). Off by default: clock reads tax
+    /// every step of small systems.
     pub fn phase_timing(mut self, on: bool) -> Self {
         self.phase_timing = on;
         self
@@ -388,7 +445,7 @@ impl DcSolver {
         ckt: &Circuit,
         tpl: Option<&DcTemplate>,
     ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        run_dc(ckt, tpl, None, None, self.lu)
+        run_dc(ckt, tpl, None, None, self.lu, self.phase_timing)
     }
 
     /// [`DcSolver::solve`] with time-varying sources evaluated at `t`
@@ -403,7 +460,7 @@ impl DcSolver {
         tpl: Option<&DcTemplate>,
         t: f64,
     ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        run_dc(ckt, tpl, Some(t), None, self.lu)
+        run_dc(ckt, tpl, Some(t), None, self.lu, self.phase_timing)
     }
 
     /// [`DcSolver::solve`] with the device-state iteration warm-started
@@ -422,7 +479,7 @@ impl DcSolver {
         tpl: Option<&DcTemplate>,
         warm: &[DeviceState],
     ) -> Result<(DcSolution, SolveReport), CircuitError> {
-        run_dc(ckt, tpl, None, Some(warm), self.lu)
+        run_dc(ckt, tpl, None, Some(warm), self.lu, self.phase_timing)
     }
 
     /// Builds an incremental frozen-state session on the circuit `host`
@@ -454,9 +511,9 @@ impl DcSolver {
     /// Stamps `ckt`'s initial-state DC MNA matrix and factors it under
     /// this solver's options, returning both — the bench/diagnostic entry
     /// point for working with the raw linear system of a real circuit.
-    /// Deliberately *not* stored inside [`DcTemplate`]: templates are
-    /// long-lived, and keeping a second copy of the matrix alive measurably
-    /// perturbs allocator locality for every later stamp.
+    /// The matrix is a fresh copy: a [`DcTemplate`] keeps its own base
+    /// matrix (pattern, values and stamp slots) to restamp in place, and
+    /// never hands it out.
     ///
     /// # Errors
     ///
@@ -551,20 +608,21 @@ pub struct FrozenDcStats {
     pub full_factorizations: usize,
 }
 
-/// Wall-clock nanoseconds a [`FrozenDcSession`] spent per linear-algebra
-/// phase of its solve loop — the attribution that makes a transient
-/// regression diagnosable: a slower `stamp` points at element iteration, a
-/// slower `refactor` at the numeric replay or its scheduling, `solve` at
-/// the triangular solves, `woodbury` at the rank-1 update bookkeeping.
-/// Recorded only by sessions of a [`DcSolver::phase_timing`]-enabled
-/// solver and read through [`FrozenDcSession::phase_times`]; the
+/// Wall-clock nanoseconds a [`FrozenDcSession`] (or an operating-point
+/// solve) spent per linear-algebra phase of its solve loop — the
+/// attribution that makes a transient regression diagnosable: a slower
+/// `stamp` points at element iteration, a slower `refactor` at the numeric
+/// replay or its scheduling, `solve` at the triangular solves, `woodbury`
+/// at the rank-1 update bookkeeping. Recorded only under a
+/// [`DcSolver::phase_timing`]-enabled solver and read through
+/// [`FrozenDcSession::phase_times`] or [`SolveReport::phases`]; the
 /// `engine_profile` and `bench_report` bins print the breakdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FrozenDcPhases {
     /// Re-stamping the MNA matrix and the per-step right-hand sides.
     pub stamp_ns: u64,
     /// Numeric refactorizations (and fallback fresh factorizations) during
-    /// rebases.
+    /// rebases, or on an operating point's state changes.
     pub refactor_ns: u64,
     /// Triangular solves against the base factorization.
     pub solve_ns: u64,
@@ -638,8 +696,9 @@ pub struct FrozenDcSession<C = Circuit> {
     /// Current logical device states (diodes track the last `solve`).
     states: Vec<DeviceState>,
     lu: SparseLu,
-    /// The matrix `lu` factors (kept for iterative-refinement residuals).
-    base_csc: CscMatrix,
+    /// The matrix `lu` factors, in its CSC pattern (restamped in place by
+    /// rebases, and kept for iterative-refinement residuals).
+    base: StampedMatrix,
     update: LowRankUpdate,
     /// Rank budget before the session rebases onto a refactorization.
     max_rank: usize,
@@ -721,10 +780,11 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         let lu_opts = tpl.map_or(lu_opts, |p| *p.lu_options());
         match tpl.filter(|t| t.matches(c)) {
             Some(tpl) => {
-                let (lu, m, fast) = tpl.numeric_for(c, &states)?;
+                let mut work = SolveReport::default();
+                let (lu, m) = tpl.numeric_for(c, &states, &mut work)?;
                 let stats = FrozenDcStats {
-                    refactorizations: usize::from(fast),
-                    full_factorizations: usize::from(!fast),
+                    refactorizations: work.refactors,
+                    full_factorizations: work.factorizations,
                     ..FrozenDcStats::default()
                 };
                 let st = tpl.st.clone();
@@ -734,8 +794,8 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             }
             None => {
                 let st = MnaStructure::new(c);
-                let m = mna::stamp_matrix(c, &st, &states, StampMode::Dc).to_csc();
-                let lu = SparseLu::factor_with(&m, &lu_opts)?;
+                let m = StampedMatrix::assemble(c, &st, &states, StampMode::Dc);
+                let lu = SparseLu::factor_with(m.csc(), &lu_opts)?;
                 let stats = FrozenDcStats {
                     full_factorizations: 1,
                     ..FrozenDcStats::default()
@@ -749,7 +809,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         ckt: C,
         st: MnaStructure,
         states: Vec<DeviceState>,
-        base_csc: CscMatrix,
+        base: StampedMatrix,
         lu: SparseLu,
         lu_opts: LuOptions,
         stats: FrozenDcStats,
@@ -778,7 +838,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             diode_elems,
             states,
             lu,
-            base_csc,
+            base,
             update: LowRankUpdate::new(n),
             max_rank: Self::DEFAULT_MAX_RANK,
             solves_since_rebase: 0,
@@ -803,10 +863,11 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         }
     }
 
-    /// Reads the clock only when phase timing is enabled.
+    /// Starts a phase timer, which reads the clock only when phase timing
+    /// is enabled.
     #[inline]
-    fn clock(&self) -> Option<Instant> {
-        self.phase_timing.then(Instant::now)
+    fn clock(&self) -> PhaseTimer {
+        PhaseTimer::start(self.phase_timing)
     }
 
     /// Overrides the rank budget (tests and tuning; `0` forces a rebase on
@@ -936,9 +997,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
                 .collect();
             let t0 = self.clock();
             let pushed = self.update.push_batch(&self.lu, &terms);
-            if let Some(t0) = t0 {
-                self.phases.woodbury_ns += t0.elapsed().as_nanos() as u64;
-            }
+            t0.stop(&mut self.phases.woodbury_ns);
             if pushed.is_err() {
                 // Updated matrix not solvable through this base (or the
                 // capacitance matrix went singular): the batch rolled
@@ -1006,9 +1065,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             None,
             false,
         );
-        if let Some(t0) = t0 {
-            self.phases.stamp_ns += t0.elapsed().as_nanos() as u64;
-        }
+        t0.stop(&mut self.phases.stamp_ns);
         if self.solve_linear().is_err() {
             // Numerical hygiene fallback: rebase and retry once.
             self.rebase()?;
@@ -1030,9 +1087,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
     fn solve_linear(&mut self) -> Result<(), CircuitError> {
         let t0 = self.clock();
         self.lu.solve_into(&self.rhs, &mut self.work, &mut self.x)?;
-        if let Some(t0) = t0 {
-            self.phases.solve_ns += t0.elapsed().as_nanos() as u64;
-        }
+        t0.stop(&mut self.phases.solve_ns);
         if self.update.is_empty() {
             // No Woodbury terms outstanding: an `F64` factor's bare solve
             // is already at the conditioning floor, but an `F32Refined`
@@ -1044,29 +1099,23 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         }
         let t0 = self.clock();
         self.update.correct(&self.lu, &mut self.x)?;
-        self.base_csc.mul_vec_into(&self.x, &mut self.resid);
+        self.base.csc().mul_vec_into(&self.x, &mut self.resid);
         self.update.accumulate_matvec(&self.x, &mut self.resid);
         for (r, b) in self.resid.iter_mut().zip(&self.rhs) {
             *r = b - *r;
         }
-        if let Some(t0) = t0 {
-            self.phases.woodbury_ns += t0.elapsed().as_nanos() as u64;
-        }
+        t0.stop(&mut self.phases.woodbury_ns);
         let t0 = self.clock();
         self.lu
             .solve_into(&self.resid, &mut self.work, &mut self.dx)?;
-        if let Some(t0) = t0 {
-            self.phases.solve_ns += t0.elapsed().as_nanos() as u64;
-        }
+        t0.stop(&mut self.phases.solve_ns);
         let t0 = self.clock();
         self.update.correct(&self.lu, &mut self.dx)?;
         for (x, d) in self.x.iter_mut().zip(&self.dx) {
             *x += d;
         }
         self.refinements += 1;
-        if let Some(t0) = t0 {
-            self.phases.woodbury_ns += t0.elapsed().as_nanos() as u64;
-        }
+        t0.stop(&mut self.phases.woodbury_ns);
         if self.lu.symbolic().precision() == Precision::F32Refined {
             // The single Woodbury-corrected step above assumed an
             // f64-accurate base solve; under a narrow factor, keep
@@ -1075,7 +1124,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             let bnorm = vecops::norm_inf(&self.rhs);
             let mut prev = f64::INFINITY;
             for _ in 0..4 {
-                self.base_csc.mul_vec_into(&self.x, &mut self.resid);
+                self.base.csc().mul_vec_into(&self.x, &mut self.resid);
                 self.update.accumulate_matvec(&self.x, &mut self.resid);
                 for (r, b) in self.resid.iter_mut().zip(&self.rhs) {
                     *r = b - *r;
@@ -1093,9 +1142,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
                 }
                 self.refinements += 1;
             }
-            if let Some(t0) = t0 {
-                self.phases.solve_ns += t0.elapsed().as_nanos() as u64;
-            }
+            t0.stop(&mut self.phases.solve_ns);
         }
         Ok(())
     }
@@ -1110,7 +1157,7 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         let bnorm = vecops::norm_inf(&self.rhs);
         let mut prev = f64::INFINITY;
         for _ in 0..5 {
-            self.base_csc.mul_vec_into(&self.x, &mut self.resid);
+            self.base.csc().mul_vec_into(&self.x, &mut self.resid);
             for (r, b) in self.resid.iter_mut().zip(&self.rhs) {
                 *r = b - *r;
             }
@@ -1124,35 +1171,32 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             vecops::axpy(1.0, &self.dx, &mut self.x);
             self.refinements += 1;
         }
-        if let Some(t0) = t0 {
-            self.phases.solve_ns += t0.elapsed().as_nanos() as u64;
-        }
+        t0.stop(&mut self.phases.solve_ns);
         Ok(())
     }
 
-    /// Re-stamps the matrix for the current states and replaces the base
-    /// factorization: numeric-only refactorization when the pattern still
-    /// fits, fresh pivoting factorization otherwise.
+    /// Restamps the base matrix in place for the current states and
+    /// replaces the base factorization: numeric-only refactorization when
+    /// the pattern still fits, fresh pivoting factorization otherwise.
     fn rebase(&mut self) -> Result<(), CircuitError> {
         let t0 = self.clock();
-        let m =
-            mna::stamp_matrix(self.ckt.borrow(), &self.st, &self.states, StampMode::Dc).to_csc();
-        if let Some(t0) = t0 {
-            self.phases.stamp_ns += t0.elapsed().as_nanos() as u64;
-        }
-        // `Auto` replay scheduling: on systems past the parallel threshold
-        // the elimination levels run across rayon workers.
+        self.base
+            .update(self.ckt.borrow(), &self.st, &self.states, StampMode::Dc);
+        t0.stop(&mut self.phases.stamp_ns);
+        // `Auto` replay scheduling: plans with enough replay work run
+        // their elimination levels across rayon workers.
         let t0 = self.clock();
-        if self.lu.refactor_with(&m, &mut self.lu_ws).is_ok() {
+        if self
+            .lu
+            .refactor_with(self.base.csc(), &mut self.lu_ws)
+            .is_ok()
+        {
             self.stats.refactorizations += 1;
         } else {
-            self.lu = SparseLu::factor_with(&m, &self.lu_opts)?;
+            self.lu = SparseLu::factor_with(self.base.csc(), &self.lu_opts)?;
             self.stats.full_factorizations += 1;
         }
-        if let Some(t0) = t0 {
-            self.phases.refactor_ns += t0.elapsed().as_nanos() as u64;
-        }
-        self.base_csc = m;
+        t0.stop(&mut self.phases.refactor_ns);
         self.update.clear();
         self.solves_since_rebase = 0;
         Ok(())
@@ -1341,8 +1385,9 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
 
     /// Structured accounting of the session so far, in the
     /// [`SolveReport`] shape: `iterations` counts the frozen-state solves,
-    /// `phases` is present when the session was created by a
-    /// [`DcSolver::phase_timing`]-enabled solver.
+    /// every base stamp (session start and rebases) precedes one refactor
+    /// or fresh factorization, and `phases` is present when the session
+    /// was created by a [`DcSolver::phase_timing`]-enabled solver.
     pub fn report(&self) -> SolveReport {
         SolveReport {
             iterations: self.stats.solves,
@@ -1350,6 +1395,9 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
             block_count: self.lu.symbolic().block_count(),
             templated: self.templated,
             refinements: self.refinements,
+            restamps: self.stats.refactorizations + self.stats.full_factorizations,
+            refactors: self.stats.refactorizations,
+            factorizations: self.stats.full_factorizations,
             phases: self.phase_timing.then_some(self.phases),
         }
     }
@@ -1374,19 +1422,6 @@ impl<C: BorrowMut<Circuit>> FrozenDcSession<C> {
         &mut self.ckt
     }
 
-    /// Updates one source's value in the owned circuit — the
-    /// capacity-restamp fast path for streaming delta sessions. Source
-    /// values are never stamped into the matrix (they only shape the RHS
-    /// assembled fresh each solve), so this requires **no** numeric or
-    /// symbolic work: the very next solve sees the new value at full
-    /// accuracy against the standing factorization.
-    ///
-    /// The session's quiescent horizon ([`DcTemplate`] docs) is extended
-    /// conservatively to cover the new value's settling time, and the
-    /// cached operating point is dropped.
-    ///
-    /// # Errors
-    ///
     /// Changes resistor values in the owned circuit and absorbs all the
     /// matrix deltas as **one batched rank-k Woodbury update** against
     /// the standing factorization — the delta sessions' edge
@@ -1446,9 +1481,7 @@ impl<C: BorrowMut<Circuit>> FrozenDcSession<C> {
             .collect();
         let t0 = self.clock();
         let pushed = self.update.push_batch(&self.lu, &terms);
-        if let Some(t0) = t0 {
-            self.phases.woodbury_ns += t0.elapsed().as_nanos() as u64;
-        }
+        t0.stop(&mut self.phases.woodbury_ns);
         match pushed {
             Ok(()) => {
                 self.stats.rank1_updates += terms.len();
@@ -1960,6 +1993,78 @@ mod tests {
             assert!((a - b).abs() < 1e-12 * b.abs().max(1.0), "{a} vs {b}");
         }
         assert_eq!(warm.device_states(), cold.device_states());
+    }
+
+    #[test]
+    fn operating_point_reports_its_work_counts() {
+        let base = clamp_ladder(5, |_| 1e3, |k| 1.0 + 0.3 * k as f64, 6.0);
+        let tpl = DcTemplate::new(&base, LuOptions::default()).unwrap();
+        let other = clamp_ladder(
+            5,
+            |k| 900.0 + 50.0 * k as f64,
+            |k| 0.9 + 0.3 * k as f64,
+            6.0,
+        );
+        // Plan hit: the template's base matrix is restamped once per
+        // state assignment (priming plus every changed iteration) and
+        // refactored; nothing is factored afresh.
+        let (_, hit) = DcSolver::new().solve(&other, Some(&tpl)).unwrap();
+        assert!(hit.templated && hit.iterations > 1);
+        assert_eq!(hit.factorizations, 0, "{hit:?}");
+        assert_eq!(hit.restamps, hit.iterations, "{hit:?}");
+        assert_eq!(hit.refactors, hit.restamps, "{hit:?}");
+        assert_eq!(hit.phases, None);
+        // Cold: one pattern-discovering assembly and fresh factorization,
+        // then in-place restamps and refactors.
+        let (_, cold) = DcSolver::new().solve(&other, None).unwrap();
+        assert_eq!(cold.factorizations, 1, "{cold:?}");
+        assert_eq!(cold.restamps, cold.iterations, "{cold:?}");
+        assert_eq!(cold.refactors, cold.restamps - 1, "{cold:?}");
+        // Opt-in phase times cover the operating point too.
+        let (_, timed) = DcSolver::new()
+            .phase_timing(true)
+            .solve(&other, Some(&tpl))
+            .unwrap();
+        let p = timed.phases.expect("phase timing on");
+        assert!(
+            p.stamp_ns > 0 && p.refactor_ns > 0 && p.solve_ns > 0,
+            "{p:?}"
+        );
+        assert_eq!(p.woodbury_ns, 0);
+    }
+
+    #[test]
+    fn warm_start_leaving_its_stamp_pattern_reassembles_and_matches_cold() {
+        // A warm start with the op-amp saturated stamps the rail pattern;
+        // the amplifier is linear at the answer, so the first state
+        // change leaves that pattern: the restamp falls back to one
+        // triplet assembly and a fresh factorization of the new pattern.
+        let mut ckt = Circuit::new();
+        let vin = ckt.node("in");
+        let sum = ckt.node("sum");
+        let out = ckt.node("out");
+        ckt.voltage_source(vin, Circuit::GROUND, SourceValue::dc(1.0));
+        ckt.resistor(vin, sum, 1e3);
+        ckt.resistor(sum, out, 2e3);
+        ckt.opamp(Circuit::GROUND, sum, out, OpAmpModel::table1());
+        let (cold, _) = DcSolver::new().solve(&ckt, None).unwrap();
+        let warm: Vec<DeviceState> = cold
+            .device_states()
+            .iter()
+            .map(|s| match s {
+                DeviceState::Linear => DeviceState::SatHigh,
+                other => *other,
+            })
+            .collect();
+        assert_ne!(warm, cold.device_states());
+        let (sol, report) = DcSolver::new().solve_warm(&ckt, None, &warm).unwrap();
+        assert_eq!(report.factorizations, 2, "{report:?}");
+        assert_eq!(report.refactors, 0, "{report:?}");
+        assert_eq!(sol.device_states(), cold.device_states());
+        for (a, b) in sol.values().iter().zip(cold.values()) {
+            assert!((a - b).abs() < 1e-12 * b.abs().max(1.0), "{a} vs {b}");
+        }
+        assert!((sol.voltage(out) + 2.0).abs() < 2e-3);
     }
 
     #[test]

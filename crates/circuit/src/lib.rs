@@ -51,6 +51,7 @@ mod error;
 mod ids;
 pub mod mna;
 mod source;
+mod timing;
 mod transient;
 mod waveform;
 

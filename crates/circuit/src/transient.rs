@@ -142,6 +142,8 @@ impl<'c> TransientAnalysis<'c> {
         let st = MnaStructure::new(ckt);
         let mut states = mna::initial_states(ckt);
         let mut cache = None;
+        // Work counts of the per-step solves (not reported).
+        let mut work = crate::SolveReport::default();
 
         // t = 0⁻ operating point.
         let lu_opts = crate::LuOptions::default();
@@ -155,6 +157,7 @@ impl<'c> TransientAnalysis<'c> {
             true,
             &lu_opts,
             &mut cache,
+            &mut work,
         )?;
         // The DC stamp differs from the transient stamp: drop the cache.
         cache = None;
@@ -198,6 +201,7 @@ impl<'c> TransientAnalysis<'c> {
                 false,
                 &lu_opts,
                 &mut cache,
+                &mut work,
             )?;
 
             // Update capacitor-current history (needed by trapezoidal).

@@ -70,14 +70,15 @@ pub struct SolveOptions {
     /// stored precision) for every LU in the stack — plans, sessions,
     /// cold fallbacks.
     pub lu: LuOptions,
-    /// Per-phase wall-clock attribution on sessions (off by default:
-    /// clock reads tax small systems).
+    /// Per-phase wall-clock attribution on operating-point solves and
+    /// sessions (off by default: clock reads tax small systems).
     pub phase_timing: bool,
     /// Byte budget of the sharded plan cache; LRU eviction engages above
     /// it. The budget counts an estimate per resident plan of
-    /// `factor_nnz × 16 + edges × 64 + 4096` bytes, which undercounts
-    /// small plans: servebench measured plans of 10–40 vertices holding
-    /// about ten times their estimate. The default is generous — eviction
+    /// `factor_nnz × 16 + edges × 64 + 4096` bytes plus the exact bytes of
+    /// the DC template's base matrix (`DcTemplate::pattern_bytes`). Before
+    /// the base matrix was counted, servebench measured plans of 10–40
+    /// vertices holding about ten times their estimate. The default is generous — eviction
     /// only matters for long-running multi-tenant servers cycling through
     /// many topologies.
     pub plan_cache_bytes: usize,

@@ -206,13 +206,14 @@ pub(crate) struct PlanCache {
 }
 
 /// Bytes one resident plan pins, estimated from its dominant artifacts:
-/// the numeric factor values + indices (`factor_nnz`), the edge-keyed
-/// skeleton bookkeeping, and a fixed overhead for the structures around
-/// them. An estimate is all eviction needs — relative order across plans
-/// is what matters.
+/// the numeric factor values + indices (`factor_nnz`), the base matrix the
+/// DC template restamps in place (pattern, values and stamp slots,
+/// counted exactly), the edge-keyed skeleton bookkeeping, and a fixed
+/// overhead for the structures around them. An estimate is all eviction
+/// needs — relative order across plans is what matters.
 fn plan_cost(tpl: &SubstrateTemplate) -> usize {
     let dc = tpl.dc_template();
-    dc.factor().factor_nnz() * 16 + tpl.key().edge_count() * 64 + 4096
+    dc.factor().factor_nnz() * 16 + dc.pattern_bytes() + tpl.key().edge_count() * 64 + 4096
 }
 
 impl PlanCache {

@@ -77,7 +77,7 @@ pub use ordering::{
     maximum_transversal, min_degree_ordering, nested_dissection_ordering, nested_dissection_split,
     reverse_cuthill_mckee, BlockOrdering, BtfStructure, NdSplit, ND_BLOCK_CUTOFF,
 };
-pub use sparse::{CscMatrix, CsrMatrix, TripletMatrix};
+pub use sparse::{CscMatrix, CscValuesMut, CsrMatrix, TripletMatrix};
 pub use sparse_lu::{
     ColumnOrdering, LuWorkspace, NumericLu, Precision, RefactorStrategy, SparseLu, SparseLuOptions,
     SparseSolveWorkspace, SymbolicLu,

@@ -84,12 +84,36 @@ impl TripletMatrix {
     /// for it (structural zeros are kept so factorization patterns stay
     /// stable between Newton iterations).
     pub fn to_csr(&self) -> CsrMatrix {
-        compress(self.rows, self.cols, &self.entries, /*by_row=*/ true).into_csr()
+        compress(
+            self.rows,
+            self.cols,
+            &self.entries,
+            /*by_row=*/ true,
+            None,
+        )
+        .into_csr()
     }
 
     /// Compresses into column-major [`CscMatrix`].
     pub fn to_csc(&self) -> CscMatrix {
-        compress(self.cols, self.rows, &self.entries, /*by_row=*/ false).into_csc()
+        compress(
+            self.cols,
+            self.rows,
+            &self.entries,
+            /*by_row=*/ false,
+            None,
+        )
+        .into_csc()
+    }
+
+    /// [`TripletMatrix::to_csc`] plus the slot (index into the value
+    /// array, see [`CscMatrix::values_mut`]) of every pushed entry, in push
+    /// order: what a caller needs to rewrite the values in place when the
+    /// same entries are pushed again with new values.
+    pub fn to_csc_with_slots(&self) -> (CscMatrix, Vec<usize>) {
+        let mut slots = vec![0; self.entries.len()];
+        let csc = compress(self.cols, self.rows, &self.entries, false, Some(&mut slots));
+        (csc.into_csc(), slots)
     }
 }
 
@@ -104,11 +128,13 @@ struct Compressed {
     val: Vec<f64>,
 }
 
+/// `slots`, when given, receives the compressed position of every entry.
 fn compress(
     outer_n: usize,
     inner_n: usize,
     entries: &[(usize, usize, f64)],
     by_row: bool,
+    mut slots: Option<&mut [usize]>,
 ) -> Compressed {
     // Counting sort by outer index, then sort each segment by inner index and
     // merge duplicates.
@@ -125,11 +151,13 @@ fn compress(
     let mut slot = counts.clone();
     let mut tmp_idx = vec![0usize; entries.len()];
     let mut tmp_val = vec![0.0f64; entries.len()];
-    for e in entries {
+    let mut tmp_src = vec![0usize; entries.len()];
+    for (src, e) in entries.iter().enumerate() {
         let k = key(e);
         let s = slot[k];
         tmp_idx[s] = sub(e);
         tmp_val[s] = e.2;
+        tmp_src[s] = src;
         slot[k] += 1;
     }
 
@@ -137,18 +165,20 @@ fn compress(
     let mut idx = Vec::with_capacity(entries.len());
     let mut val = Vec::with_capacity(entries.len());
     ptr.push(0);
-    let mut seg: Vec<(usize, f64)> = Vec::new();
+    let mut seg: Vec<(usize, f64, usize)> = Vec::new();
     for o in 0..outer_n {
+        let range = counts[o]..counts[o + 1];
         seg.clear();
         seg.extend(
-            tmp_idx[counts[o]..counts[o + 1]]
+            tmp_idx[range.clone()]
                 .iter()
-                .copied()
-                .zip(tmp_val[counts[o]..counts[o + 1]].iter().copied()),
+                .zip(&tmp_val[range.clone()])
+                .zip(&tmp_src[range])
+                .map(|((&i, &v), &src)| (i, v, src)),
         );
-        seg.sort_unstable_by_key(|&(i, _)| i);
+        seg.sort_unstable_by_key(|&(i, _, _)| i);
         let mut last: Option<usize> = None;
-        for &(i, v) in seg.iter() {
+        for &(i, v, src) in seg.iter() {
             if last == Some(i) {
                 *val.last_mut()
                     .expect("invariant: a duplicate entry was just pushed") += v;
@@ -156,6 +186,9 @@ fn compress(
                 idx.push(i);
                 val.push(v);
                 last = Some(i);
+            }
+            if let Some(slots) = slots.as_deref_mut() {
+                slots[src] = idx.len() - 1;
             }
         }
         ptr.push(idx.len());
@@ -295,6 +328,16 @@ impl CscMatrix {
         &self.values
     }
 
+    /// A value-mutable view over this matrix's fixed pattern: values can
+    /// be rewritten in place, the pattern cannot change.
+    pub fn values_mut(&mut self) -> CscValuesMut<'_> {
+        CscValuesMut {
+            col_ptr: &self.col_ptr,
+            row_idx: &self.row_idx,
+            values: &mut self.values,
+        }
+    }
+
     /// Iterator over `(row, value)` pairs of one column.
     pub fn col(&self, col: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
         let (lo, hi) = (self.col_ptr[col], self.col_ptr[col + 1]);
@@ -341,6 +384,74 @@ impl CscMatrix {
                 }
             }
         }
+    }
+}
+
+/// A value-mutable view of a [`CscMatrix`] over its fixed pattern
+/// ([`CscMatrix::values_mut`]): the restamp shape of SPICE's per-device
+/// matrix-element pointers. A caller resolves the *slot* (index into the
+/// value array) of each `(row, col)` position once and then rewrites
+/// values through it, with no triplet assembly, sort or allocation.
+///
+/// # Example
+///
+/// ```
+/// use ohmflow_linalg::TripletMatrix;
+///
+/// let mut t = TripletMatrix::new(2, 2);
+/// t.push(0, 0, 1.0);
+/// t.push(1, 0, 2.0);
+/// t.push(1, 1, 3.0);
+/// let mut a = t.to_csc();
+/// let mut v = a.values_mut();
+/// let s = v.slot(1, 0).expect("in pattern");
+/// assert!(v.slot(0, 1).is_none());
+/// v.fill_zero();
+/// v.add(s, 5.0);
+/// assert_eq!(a.get(1, 0), 5.0);
+/// assert_eq!(a.get(1, 1), 0.0);
+/// assert_eq!(a.nnz(), 3); // explicit zeros keep their slots
+/// ```
+#[derive(Debug)]
+pub struct CscValuesMut<'a> {
+    col_ptr: &'a [usize],
+    row_idx: &'a [usize],
+    values: &'a mut [f64],
+}
+
+impl CscValuesMut<'_> {
+    /// The slot of `(row, col)`, or `None` if the position is outside the
+    /// pattern (or out of bounds).
+    pub fn slot(&self, row: usize, col: usize) -> Option<usize> {
+        let hi = *self.col_ptr.get(col + 1)?;
+        let lo = self.col_ptr[col];
+        self.row_idx[lo..hi]
+            .binary_search(&row)
+            .ok()
+            .map(|k| lo + k)
+    }
+
+    /// `true` if `slot` is the slot of `(row, col)`: the O(1) check of a
+    /// slot remembered from an earlier walk.
+    pub fn is_slot(&self, slot: usize, row: usize, col: usize) -> bool {
+        self.row_idx.get(slot) == Some(&row)
+            && col < self.col_ptr.len() - 1
+            && self.col_ptr[col] <= slot
+            && slot < self.col_ptr[col + 1]
+    }
+
+    /// Sets every stored value to zero (the pattern is kept).
+    pub fn fill_zero(&mut self) {
+        self.values.fill(0.0);
+    }
+
+    /// Adds `v` to the value at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot >= nnz`.
+    pub fn add(&mut self, slot: usize, v: f64) {
+        self.values[slot] += v;
     }
 }
 
@@ -421,6 +532,48 @@ mod tests {
     fn out_of_bounds_push_panics() {
         let mut t = TripletMatrix::new(1, 1);
         t.push(1, 0, 1.0);
+    }
+
+    #[test]
+    fn slot_view_rewrites_values_over_the_fixed_pattern() {
+        let mut csc = example().to_csc();
+        let positions = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2)];
+        let mut v = csc.values_mut();
+        let slots: Vec<usize> = positions
+            .iter()
+            .map(|&(r, c)| v.slot(r, c).expect("in pattern"))
+            .collect();
+        for (&(r, c), &s) in positions.iter().zip(&slots) {
+            assert!(v.is_slot(s, r, c));
+            assert!(!v.is_slot(s, r + 1, c) && !v.is_slot(s, r, (c + 1) % 3));
+        }
+        assert_eq!(v.slot(1, 0), None);
+        assert_eq!(v.slot(0, 3), None);
+        assert!(!v.is_slot(5, 0, 0));
+        v.fill_zero();
+        for (k, &s) in slots.iter().enumerate() {
+            v.add(s, k as f64 + 10.0);
+            v.add(s, 0.5);
+        }
+        for (k, &(r, c)) in positions.iter().enumerate() {
+            assert_eq!(csc.get(r, c), k as f64 + 10.5);
+        }
+        assert_eq!(csc.nnz(), 5);
+        assert_eq!(csc.col_ptr(), example().to_csc().col_ptr());
+    }
+
+    #[test]
+    fn csc_slots_locate_every_pushed_entry() {
+        let mut t = example();
+        t.push(2, 0, 0.5); // duplicate of an earlier entry: same slot
+        let (mut csc, slots) = t.to_csc_with_slots();
+        assert_eq!(csc, t.to_csc());
+        assert_eq!(slots.len(), t.raw_len());
+        let pushed = [(0, 0), (0, 2), (1, 1), (2, 0), (2, 2), (2, 0)];
+        for (&(r, c), &s) in pushed.iter().zip(&slots) {
+            assert_eq!(csc.values_mut().slot(r, c), Some(s));
+        }
+        assert_eq!(slots[3], slots[5]);
     }
 
     #[test]

@@ -120,12 +120,13 @@ fn sort_paired_insertion(keys: &mut [usize], vals: &mut [f64]) {
 /// replay.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RefactorStrategy {
-    /// Level-scheduled parallel replay when the system has at least
-    /// [`SparseLu::PAR_COL_THRESHOLD`] columns, more than one rayon worker
-    /// thread is available, and the caller is not itself running inside a
-    /// rayon worker (batch fan-outs already saturate the machine one
-    /// matrix per worker; nesting a second layer would oversubscribe).
-    /// Serial otherwise.
+    /// Level-scheduled parallel replay when the plan's replay work
+    /// ([`SymbolicLu::replay_work`]) is at least
+    /// [`SparseLu::PAR_REPLAY_WORK`], more than one rayon worker thread is
+    /// available, and the caller is not itself running inside a rayon
+    /// worker (batch fan-outs already saturate the machine one matrix per
+    /// worker; nesting a second layer would oversubscribe). Serial
+    /// otherwise.
     #[default]
     Auto,
     /// Always the serial replay (the reference path).
@@ -1122,6 +1123,9 @@ pub struct SymbolicLu {
     /// plain factor + serial-refactor + dense-solve workflow pays nothing
     /// for them.
     pub(crate) extras: std::sync::OnceLock<SymbolicExtras>,
+    /// Entry writes plus multiply-adds of one numeric replay (see
+    /// [`SymbolicLu::replay_work`]), measured once from the pattern.
+    pub(crate) replay_work: usize,
     /// Pivot zero-tolerance carried from the factorization options so every
     /// numeric replay applies the same singularity test.
     pub(crate) zero_tol: f64,
@@ -1286,6 +1290,30 @@ impl SymbolicLu {
     pub fn level_steps(&self, level: usize) -> &[usize] {
         let ex = self.extras();
         &ex.level_cols[ex.level_ptr[level]..ex.level_ptr[level + 1]]
+    }
+
+    /// Work of one numeric replay over this plan: every stored `L`/`U`
+    /// entry written once, plus one multiply-add per `L` entry of each
+    /// dependency column a step's update reads. It is the quantity
+    /// [`RefactorStrategy::Auto`] compares against
+    /// [`SparseLu::PAR_REPLAY_WORK`].
+    pub fn replay_work(&self) -> usize {
+        self.replay_work
+    }
+
+    /// Replay work of the pattern `l_ptr`/`u_ptr`/`u_rows` (the diagonal
+    /// is stored last in each `U` column).
+    fn measure_replay_work(l_ptr: &[usize], u_ptr: &[usize], u_rows: &[usize]) -> usize {
+        let l_len = |s: usize| l_ptr[s + 1] - l_ptr[s];
+        let updates: usize = (0..u_ptr.len() - 1)
+            .map(|k| {
+                u_rows[u_ptr[k]..u_ptr[k + 1] - 1]
+                    .iter()
+                    .map(|&s| l_len(s))
+                    .sum::<usize>()
+            })
+            .sum();
+        l_ptr[l_ptr.len() - 1] + u_rows.len() + updates
     }
 
     /// Numeric precision of every factor built over this plan.
@@ -1585,10 +1613,19 @@ pub struct SparseLu {
 }
 
 impl SparseLu {
-    /// Minimum system size for [`RefactorStrategy::Auto`] to choose the
-    /// parallel replay. Below this, per-column work is so small that
-    /// thread coordination costs more than the whole serial pass.
+    /// Minimum system size for the supernodal (panel) triangular solves.
+    /// Below this, the panel gather costs more than the scalar
+    /// substitution it replaces.
     pub const PAR_COL_THRESHOLD: usize = 512;
+
+    /// Minimum [`SymbolicLu::replay_work`] for [`RefactorStrategy::Auto`]
+    /// to choose the parallel replay. Below it the whole serial pass takes
+    /// less time than waking the workers and crossing the level barriers:
+    /// the substrates of 3–6 side grids and small layered DAGs measure
+    /// under 5,000 and replay in 3–46 µs serially, against 40–115 µs in
+    /// parallel on two workers (two-core x86-64 host), while a 40×40 grid
+    /// substrate measures about 680,000.
+    pub const PAR_REPLAY_WORK: usize = 1 << 16;
 
     /// Maximum number of right-hand-side lanes a single
     /// [`SparseLu::solve_multi_into`] traversal carries. Eight doubles per
@@ -1833,6 +1870,7 @@ impl SparseLu {
             off_ptr.push(off_rows.len());
         }
 
+        let replay_work = SymbolicLu::measure_replay_work(&l_ptr, &u_ptr, &u_rows);
         let sym = Arc::new(SymbolicLu {
             n,
             q,
@@ -1846,6 +1884,7 @@ impl SparseLu {
             off_ptr,
             off_rows,
             extras: std::sync::OnceLock::new(),
+            replay_work,
             zero_tol: opts.zero_tolerance,
             precision: opts.precision,
             supernodal: opts.supernodal,
@@ -2024,7 +2063,7 @@ impl SparseLu {
             RefactorStrategy::Serial => 1,
             RefactorStrategy::Parallel { threads } => threads.max(1),
             RefactorStrategy::Auto => {
-                if self.sym.n >= Self::PAR_COL_THRESHOLD && !rayon::in_worker() {
+                if self.sym.replay_work >= Self::PAR_REPLAY_WORK && !rayon::in_worker() {
                     rayon::current_num_threads()
                 } else {
                     1
@@ -3976,29 +4015,46 @@ mod tests {
 
     #[test]
     fn auto_strategy_is_correct_across_the_threshold() {
-        // Banded systems just below and above PAR_COL_THRESHOLD: Auto must
+        // Banded systems just below and above PAR_REPLAY_WORK: Auto must
         // agree with Serial bit-for-bit wherever it lands.
-        for n in [
-            SparseLu::PAR_COL_THRESHOLD - 1,
-            SparseLu::PAR_COL_THRESHOLD,
-            SparseLu::PAR_COL_THRESHOLD + 3,
-        ] {
-            let band = |scale: f64| {
-                let mut t = TripletMatrix::new(n, n);
-                for i in 0..n {
-                    t.push(i, i, 3.0 + scale * (i % 5) as f64);
-                    if i + 1 < n {
-                        t.push(i, i + 1, -1.0);
-                        t.push(i + 1, i, -0.5 * scale);
-                    }
-                    if i + 7 < n {
-                        t.push(i + 7, i, 0.25);
-                    }
+        let band = |n: usize, scale: f64| {
+            let mut t = TripletMatrix::new(n, n);
+            for i in 0..n {
+                t.push(i, i, 3.0 + scale * (i % 5) as f64);
+                if i + 1 < n {
+                    t.push(i, i + 1, -1.0);
+                    t.push(i + 1, i, -0.5 * scale);
                 }
-                t.to_csc()
-            };
-            let base = SparseLu::factor(&band(1.0)).unwrap();
-            let a2 = band(1.5);
+                if i + 7 < n {
+                    t.push(i + 7, i, 0.25);
+                }
+            }
+            t.to_csc()
+        };
+        let work = |n: usize| {
+            SparseLu::factor(&band(n, 1.0))
+                .unwrap()
+                .symbolic()
+                .replay_work()
+        };
+        // Replay work grows with n: bisect for the first n at the gate.
+        let (mut lo, mut hi) = (8, 16);
+        while work(hi) < SparseLu::PAR_REPLAY_WORK {
+            (lo, hi) = (hi, 2 * hi);
+        }
+        while hi - lo > 1 {
+            let mid = (lo + hi) / 2;
+            if work(mid) < SparseLu::PAR_REPLAY_WORK {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        assert!(work(hi - 1) < SparseLu::PAR_REPLAY_WORK);
+        assert!(work(hi) >= SparseLu::PAR_REPLAY_WORK);
+        for n in [hi - 1, hi, hi + 3] {
+            let base = SparseLu::factor(&band(n, 1.0)).unwrap();
+            let a2 = band(n, 1.5);
             let mut ws = LuWorkspace::new();
             let mut auto = base.clone();
             auto.refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Auto)

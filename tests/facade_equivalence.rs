@@ -387,6 +387,46 @@ fn phase_timing_reaches_sessions() {
     }
 }
 
+/// A plan-hit operating point pays numeric work only: every state
+/// iteration restamps the plan's base matrix in place and refactors it,
+/// and no fresh factorization happens — the counts are always on. With
+/// `SolveOptions::phase_timing` the same answer also carries its
+/// per-phase times.
+#[test]
+fn plan_hit_solve_reports_no_fresh_factorization() {
+    for (g, capacities) in [
+        (generators::grid(5, 5, 100, 3).expect("grid"), 7),
+        (generators::layered(3, 4, 100, 5).expect("layered"), 11),
+    ] {
+        for on in [false, true] {
+            let solver = MaxFlowSolver::new(SolveOptions::ideal().with_phase_timing(on));
+            let plan = solver.plan(&g).expect("plan");
+            let mut recapped =
+                FlowNetwork::new(g.vertex_count(), g.source(), g.sink()).expect("endpoints");
+            for (k, e) in g.edges().iter().enumerate() {
+                let cap = 1 + (k as i64 * capacities) % 97;
+                recapped.add_edge(e.from, e.to, cap).expect("edge");
+            }
+            for graph in [&g, &recapped, &recapped] {
+                let report = plan
+                    .instance(graph)
+                    .expect("instance")
+                    .solve()
+                    .expect("solve")
+                    .report;
+                assert!(report.templated, "{report:?}");
+                assert_eq!(report.factorizations, 0, "{report:?}");
+                assert!(report.restamps >= 1, "{report:?}");
+                assert_eq!(report.refactors, report.restamps, "{report:?}");
+                match report.phases {
+                    Some(p) => assert!(on && p.stamp_ns > 0 && p.refactor_ns > 0, "{p:?}"),
+                    None => assert!(!on, "timing on but no phases reported"),
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
