@@ -52,7 +52,7 @@ use ohmflow_bench::{
 use ohmflow_circuit::{DcSolver, DcTemplate};
 use ohmflow_graph::generators;
 use ohmflow_linalg::{
-    ColumnOrdering, LuWorkspace, RefactorStrategy, SparseLu, SparseLuOptions, SparseSolveWorkspace,
+    ColumnOrdering, LuWorkspace, SparseLu, SparseLuOptions, SparseSolveWorkspace,
 };
 
 fn main() {
@@ -214,8 +214,8 @@ fn main() {
     trajectory_report();
 }
 
-/// The PR 3 large-graph scaling section: numeric refactorization
-/// (serial vs level-scheduled parallel) and rank-1 triangular solves
+/// The PR 3 large-graph scaling section: numeric refactorization and
+/// rank-1 triangular solves
 /// (dense vs reach-based sparse halves) on the real substrate MNA
 /// matrices of rmat1024, rmat2048 and a DIMACS-roundtripped 40×40 grid,
 /// plus an end-to-end frozen-DC session flip loop on the DIMACS instance.
@@ -239,12 +239,7 @@ fn pr3_report() {
         let sc = bench_substrate(&g);
         let (m, base_lu) = DcSolver::new().stamp(sc.circuit()).expect("dc system");
         let m = &m;
-        println!(
-            "{name}: {} unknowns, {} nnz, {} elimination levels",
-            m.cols(),
-            m.nnz(),
-            base_lu.symbolic().level_count()
-        );
+        println!("{name}: {} unknowns, {} nnz", m.cols(), m.nnz());
 
         // Full symbolic + numeric factorization: the phase the
         // index-permutation sort_paired rewrite targets.
@@ -253,23 +248,12 @@ fn pr3_report() {
             median_ns(3, || SparseLu::factor(m).expect("factor")),
         );
 
-        // Numeric-only refactorization, serial vs level-scheduled
-        // parallel on every available core.
+        // Numeric-only refactorization (the serial replay).
         let mut ws = LuWorkspace::new();
         let mut lu = base_lu.clone();
         push(
             format!("{name}/refactor_serial"),
-            median_ns(5, || {
-                lu.refactor_with_strategy(m, &mut ws, RefactorStrategy::Serial)
-                    .expect("serial refactor")
-            }),
-        );
-        push(
-            format!("{name}/refactor_parallel"),
-            median_ns(5, || {
-                lu.refactor_with_strategy(m, &mut ws, RefactorStrategy::Parallel { threads: cores })
-                    .expect("parallel refactor")
-            }),
+            median_ns(5, || lu.refactor_with(m, &mut ws).expect("refactor")),
         );
 
         // Rank-1 triangular solves over a sample of the substrate's real
@@ -389,10 +373,6 @@ fn pr3_report() {
             .unwrap_or(0.0)
     };
     let ratio = |a: f64, b: f64| if b > 0.0 { a / b } else { 0.0 };
-    let par_speedup_2048 = ratio(
-        get(&entries, "rmat2048/refactor_serial"),
-        get(&entries, "rmat2048/refactor_parallel"),
-    );
     let sparse_speedup_grid = ratio(
         get(&entries, "dimacs_grid40/rank1_triangular_solve_dense"),
         get(&entries, "dimacs_grid40/rank1_triangular_solve_sparse"),
@@ -405,7 +385,6 @@ fn pr3_report() {
         get(&entries, "dimacs_grid40/rank1_triangular_solve_dense"),
         get(&entries, "dimacs_grid40/rank1_push_path_sparse"),
     );
-    println!("parallel refactor speedup (rmat2048, {cores} cores): {par_speedup_2048:.2}x");
     println!("sparse rank1 solve speedup (dimacs_grid40): {sparse_speedup_grid:.2}x");
     println!("sparse rank1 solve speedup (rmat2048): {sparse_speedup_2048:.2}x");
     println!("shipped push-path speedup (dimacs_grid40): {push_speedup_grid:.2}x");
@@ -417,9 +396,6 @@ fn pr3_report() {
         json.push_str(&format!("    \"{name}\": {ns:.0}{comma}\n"));
     }
     json.push_str("  },\n  \"speedups\": {\n");
-    json.push_str(&format!(
-        "    \"refactor_parallel_vs_serial_rmat2048\": {par_speedup_2048:.3},\n"
-    ));
     json.push_str(&format!(
         "    \"rank1_sparse_vs_dense_solve_dimacs_grid40\": {sparse_speedup_grid:.3},\n"
     ));
@@ -545,10 +521,7 @@ fn pr4_report() {
             push(
                 &mut entries,
                 format!("{name}/{label}/refactor_serial"),
-                median_ns(reps, || {
-                    rlu.refactor_with_strategy(m, &mut ws, RefactorStrategy::Serial)
-                        .expect("refactor")
-                }),
+                median_ns(reps, || rlu.refactor_with(m, &mut ws).expect("refactor")),
             );
 
             // Rank-1 sparse solve over real diode RHS pairs (the PR 3
@@ -829,10 +802,7 @@ fn pr6_report() {
         for (label, mut lu) in [("multiblock", lu_blk), ("amd", lu_amd)] {
             push(
                 format!("rmat128/refactor_serial_{label}"),
-                median_ns(15, || {
-                    lu.refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
-                        .expect("refactor")
-                }),
+                median_ns(15, || lu.refactor_with(&m, &mut ws).expect("refactor")),
             );
         }
     }
@@ -946,7 +916,7 @@ fn pr7_report() {
         let mut lu_scalar = SparseLu::factor_with(&m, &scalar_opts).expect("scalar factor");
         let t_scalar = median_ns(7, || {
             lu_scalar
-                .refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
+                .refactor_with(&m, &mut ws)
                 .expect("scalar refactor")
         });
         push(format!("{name}/refactor_scalar_f64"), t_scalar);
@@ -954,7 +924,7 @@ fn pr7_report() {
         let mut lu_sn = lu.clone();
         let t_sn = median_ns(7, || {
             lu_sn
-                .refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
+                .refactor_with(&m, &mut ws)
                 .expect("supernodal refactor")
         });
         push(format!("{name}/refactor_supernodal_f64"), t_sn);
@@ -965,9 +935,7 @@ fn pr7_report() {
         };
         let mut lu_f32 = SparseLu::factor_with(&m, &f32_opts).expect("f32 factor");
         let t_sn32 = median_ns(7, || {
-            lu_f32
-                .refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
-                .expect("f32 refactor")
+            lu_f32.refactor_with(&m, &mut ws).expect("f32 refactor")
         });
         push(format!("{name}/refactor_supernodal_f32"), t_sn32);
 

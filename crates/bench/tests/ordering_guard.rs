@@ -18,8 +18,7 @@
 use ohmflow_bench::{bench_substrate, fig10_instance, median_ns};
 use ohmflow_circuit::DcSolver;
 use ohmflow_linalg::{
-    nested_dissection_split, ColumnOrdering, LuWorkspace, RefactorStrategy, SparseLu,
-    SparseLuOptions,
+    nested_dissection_split, ColumnOrdering, LuWorkspace, SparseLu, SparseLuOptions,
 };
 
 /// Recorded AMD fill on this fixture: 267,318 (plain AMD) / 212,458
@@ -185,12 +184,8 @@ fn multiblock_replay_on_rmat128_has_no_closure_tax() {
     let mut ws = LuWorkspace::new();
     let mut lu_hybrid = lu_hybrid;
     let mut lu_amd = lu_amd;
-    let mut replay = |lu: &mut SparseLu| {
-        median_ns(15, || {
-            lu.refactor_with_strategy(&m, &mut ws, RefactorStrategy::Serial)
-                .expect("refactor")
-        })
-    };
+    let mut replay =
+        |lu: &mut SparseLu| median_ns(15, || lu.refactor_with(&m, &mut ws).expect("refactor"));
     replay(&mut lu_hybrid); // warm caches + workspace before either timing
     replay(&mut lu_amd);
     let t_blk = replay(&mut lu_hybrid);

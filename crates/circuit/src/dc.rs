@@ -191,28 +191,6 @@ fn run_dc(
         ..SolveReport::default()
     };
     let initial = mna::initial_states(ckt);
-    // Template fast path: reuse the unknown map and prime the factor
-    // cache with the template's base matrix, restamped in place with this
-    // circuit's *values* (they may differ from the template's), and a
-    // numeric-only refactorization. A failed priming simply leaves the
-    // cache cold. Matched once: the same template decides the structure
-    // and the cache seed.
-    let matched_tpl = tpl.filter(|t| t.matches(ckt));
-    // `templated` reports whether the solve actually rode the template's
-    // factorization — a failed priming (singular stamp under the
-    // template's pivots) or a warm-start retry below demotes it, so the
-    // report never claims a fast path that did not happen.
-    let (st, mut cache) = match matched_tpl {
-        Some(tpl) => {
-            let cache = tpl
-                .numeric_for(ckt, &initial, &mut report)
-                .ok()
-                .map(|(lu, m)| (initial.clone(), lu, m));
-            report.templated = cache.is_some();
-            (tpl.st.clone(), cache)
-        }
-        None => (MnaStructure::new(ckt), None),
-    };
     // Warm-started states must be shape-compatible: one entry per
     // element, stateless exactly where the initial assignment is.
     let warm = warm.filter(|w| {
@@ -225,6 +203,29 @@ fn run_dc(
         .map(<[DeviceState]>::to_vec)
         .unwrap_or_else(|| initial.clone());
     let warm_used = warm.is_some();
+    // Template fast path: reuse the unknown map and prime the factor
+    // cache with the template's base matrix, restamped in place with this
+    // circuit's *values* (they may differ from the template's) under the
+    // states the first iteration starts from, and a numeric-only
+    // refactorization. A failed priming simply leaves the cache cold.
+    // Matched once: the same template decides the structure and the
+    // cache seed.
+    let matched_tpl = tpl.filter(|t| t.matches(ckt));
+    // `templated` reports whether the solve actually rode the template's
+    // factorization — a failed priming (singular stamp under the
+    // template's pivots) or a warm-start retry below demotes it, so the
+    // report never claims a fast path that did not happen.
+    let (st, mut cache) = match matched_tpl {
+        Some(tpl) => {
+            let cache = tpl
+                .numeric_for(ckt, &states, &mut report)
+                .ok()
+                .map(|(lu, m)| (states.clone(), lu, m));
+            report.templated = cache.is_some();
+            (tpl.st.clone(), cache)
+        }
+        None => (MnaStructure::new(ckt), None),
+    };
     let t = at_time.unwrap_or(0.0);
     // `Step` sources use their pre-step value unless solved at a time.
     let pre_step = at_time.is_none();
@@ -1183,8 +1184,6 @@ impl<C: Borrow<Circuit>> FrozenDcSession<C> {
         self.base
             .update(self.ckt.borrow(), &self.st, &self.states, StampMode::Dc);
         t0.stop(&mut self.phases.stamp_ns);
-        // `Auto` replay scheduling: plans with enough replay work run
-        // their elimination levels across rayon workers.
         let t0 = self.clock();
         if self
             .lu

@@ -97,9 +97,7 @@ pub enum RelaxationEngine {
     /// buffers across every time step; clamp-diode switches are absorbed
     /// as Woodbury rank-1 updates (built through reach-based sparse
     /// triangular half-solves) with a periodic refactorization for
-    /// numerical hygiene — numeric-only, level-scheduled across rayon
-    /// workers on large systems unless the solve is already running inside
-    /// a batch worker. See `DESIGN.md`.
+    /// numerical hygiene (numeric-only, serial replay). See `DESIGN.md`.
     #[default]
     Incremental,
     /// The historical reference path: every step calls
@@ -874,6 +872,23 @@ mod tests {
         assert!(plan.cache_hit(), "second plan must hit the cache");
         let staged = plan.instance(&g2).unwrap().solve().unwrap();
         assert!((staged.value - warm2.value).abs() < 1e-12);
+    }
+
+    #[test]
+    fn warm_repeat_primes_the_plan_with_its_warm_states() {
+        // A value-identical repeat starts from the converged states of the
+        // previous answer, so priming the plan's factor with exactly those
+        // states leaves nothing to restamp: one stamp, one refactor.
+        let g = generators::grid(5, 5, 100, 5).unwrap();
+        let plan = MaxFlowSolver::new(SolveOptions::ideal()).plan(&g).unwrap();
+        let first = plan.instance(&g).unwrap().solve().unwrap();
+        assert!(first.report.iterations > 1, "{:?}", first.report);
+        for round in 0..3 {
+            let r = plan.instance(&g).unwrap().solve().unwrap().report;
+            assert!(r.templated && r.iterations == 1, "round {round}: {r:?}");
+            assert_eq!((r.restamps, r.refactors), (1, 1), "round {round}: {r:?}");
+            assert_eq!(r.factorizations, 0, "round {round}: {r:?}");
+        }
     }
 
     #[test]

@@ -19,11 +19,8 @@
 //! * the MNA structure, base-matrix sparsity and the symbolic + one
 //!   numeric LU live in a shared [`DcTemplate`]; instances carry it by
 //!   [`Arc`], and batch workers derive per-thread numeric factors from the
-//!   shared symbolic plan. Those numeric refactorizations run under the
-//!   linalg crate's `Auto` strategy: a single large instantiation replays
-//!   its elimination levels across rayon workers, while instantiations
-//!   issued *from inside* a batch worker stay serial (the batch already
-//!   owns the cores — the nested-worker guard prevents oversubscription),
+//!   shared symbolic plan (each numeric refactorization replays serially;
+//!   the batch fan-out is what owns the cores),
 //! * the converged device states of previous solves are cached as a
 //!   warm-start hint, which collapses the clamp-engagement cascade on
 //!   sweep-shaped workloads (warm starts that fail to converge retry cold,

@@ -25,12 +25,10 @@
 //!   factorization is split into an immutable, `Arc`-shared [`SymbolicLu`]
 //!   elimination plan and per-thread numeric values ([`NumericLu`]), so
 //!   same-topology batch members factor concurrently against one symbolic
-//!   analysis ([`SymbolicLu::numeric`]). The symbolic plan carries the
-//!   elimination tree and its level schedule, so a single numeric
-//!   refactorization can also run *internally* parallel
-//!   ([`RefactorStrategy`]), and [`SparseLu::solve_sparse_into`] performs
-//!   Gilbert–Peierls reach-based triangular solves that touch only the
-//!   factor columns a sparse right-hand side can influence,
+//!   analysis ([`SymbolicLu::numeric`]); each numeric refactorization
+//!   replays serially, as KLU's does. [`SparseLu::solve_sparse_into`]
+//!   performs Gilbert–Peierls reach-based triangular solves that touch only
+//!   the factor columns a sparse right-hand side can influence,
 //! * [`LowRankUpdate`] — Sherman–Morrison–Woodbury rank-k solve updates, so
 //!   a 1–2 entry conductance change (a clamp-diode toggle) updates an
 //!   existing factorization instead of discarding it,
@@ -75,11 +73,11 @@ pub use lowrank::{LowRankUpdate, RankOneTermRef};
 pub use ordering::{
     amd_btf_nd_ordering, amd_btf_ordering, amd_ordering, block_triangular_form,
     maximum_transversal, min_degree_ordering, nested_dissection_ordering, nested_dissection_split,
-    reverse_cuthill_mckee, BlockOrdering, BtfStructure, NdSplit, ND_BLOCK_CUTOFF,
+    BlockOrdering, BtfStructure, NdSplit, ND_BLOCK_CUTOFF,
 };
 pub use sparse::{CscMatrix, CscValuesMut, CsrMatrix, TripletMatrix};
 pub use sparse_lu::{
-    ColumnOrdering, LuWorkspace, NumericLu, Precision, RefactorStrategy, SparseLu, SparseLuOptions,
+    ColumnOrdering, LuWorkspace, NumericLu, Precision, SparseLu, SparseLuOptions,
     SparseSolveWorkspace, SymbolicLu,
 };
 pub use supernode::SupernodeStats;

@@ -88,8 +88,8 @@ pub struct LowRankUpdate {
 /// System size below which a pushed term's `z = A⁻¹u` is computed through
 /// a plain dense solve: the reach machinery's constant costs (workspace
 /// reset, DFS, sort) exceed the whole solve on tiny systems. A deliberate
-/// twin of — but not a reference to — the parallel-refactor scheduling
-/// threshold: the two knobs tune unrelated trade-offs.
+/// twin of — but not a reference to — `SparseLu::PANEL_SOLVE_MIN_DIM`:
+/// the two knobs tune unrelated trade-offs.
 const DENSE_PUSH_THRESHOLD: usize = 512;
 
 impl LowRankUpdate {

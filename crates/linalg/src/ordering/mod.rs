@@ -6,9 +6,9 @@
 //! pattern `A + Aᵀ` — the standard practice in SPICE-class solvers. The
 //! subsystem has three layers:
 //!
-//! * [`classic`] — the original greedy minimum-degree and reverse
-//!   Cuthill–McKee orderings. Minimum degree is kept primarily as the
-//!   *fill-count oracle* the AMD implementation is tested against.
+//! * [`classic`] — the original greedy minimum-degree ordering, kept
+//!   primarily as the *fill-count oracle* the AMD implementation is tested
+//!   against.
 //! * [`amd`] — a true approximate-minimum-degree ordering on a quotient
 //!   graph: supervariables (hash-based indistinguishable-node detection),
 //!   element absorption and approximate external degrees. This is the
@@ -45,7 +45,7 @@ mod nd;
 
 pub use amd::amd_ordering;
 pub use btf::{block_triangular_form, maximum_transversal, BtfStructure};
-pub use classic::{min_degree_ordering, reverse_cuthill_mckee};
+pub use classic::min_degree_ordering;
 pub use nd::{nested_dissection_ordering, nested_dissection_split, NdSplit};
 
 use crate::CscMatrix;
@@ -56,7 +56,7 @@ use crate::CscMatrix;
 ///
 /// One offsets array and one index buffer replace the historical
 /// `Vec<Vec<usize>>`: the build allocates exactly three vectors regardless
-/// of `n`, and every ordering (minimum degree, RCM, AMD) reads the same
+/// of `n`, and every ordering (minimum degree, AMD, nested dissection) reads the same
 /// structure.
 #[derive(Debug, Clone)]
 pub(crate) struct AdjacencyCsr {

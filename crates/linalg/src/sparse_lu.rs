@@ -26,7 +26,7 @@ use std::sync::Arc;
 use crate::dense::{dot_lanes_f64, panel_rank_update, trsv_unit_lower, LuScalar};
 use crate::ordering::{
     amd_btf_nd_ordering, amd_btf_ordering, amd_ordering, min_degree_ordering,
-    nested_dissection_ordering, reverse_cuthill_mckee, BlockOrdering,
+    nested_dissection_ordering, BlockOrdering,
 };
 use crate::supernode::{SupernodePlan, SupernodeStats, SymbolicView, MAX_SN_WIDTH, NO_SLOT};
 use crate::{CscMatrix, LinalgError};
@@ -116,58 +116,19 @@ fn sort_paired_insertion(keys: &mut [usize], vals: &mut [f64]) {
     }
 }
 
-/// How [`SparseLu::refactor_with_strategy`] schedules the numeric column
-/// replay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RefactorStrategy {
-    /// Level-scheduled parallel replay when the plan's replay work
-    /// ([`SymbolicLu::replay_work`]) is at least
-    /// [`SparseLu::PAR_REPLAY_WORK`], more than one rayon worker thread is
-    /// available, and the caller is not itself running inside a rayon
-    /// worker (batch fan-outs already saturate the machine one matrix per
-    /// worker; nesting a second layer would oversubscribe). Serial
-    /// otherwise.
-    #[default]
-    Auto,
-    /// Always the serial replay (the reference path).
-    Serial,
-    /// Level-scheduled parallel replay on exactly `threads` workers,
-    /// regardless of system size — the test/bench override.
-    Parallel {
-        /// Worker count (values `<= 1` degenerate to the serial path).
-        threads: usize,
-    },
-}
-
 /// Raw pointers to a factor's `L`/`U`/off-diagonal value arrays, handed to
-/// concurrent refactorization workers.
+/// the replay kernels.
 ///
-/// SAFETY: sharing is sound because the level schedule partitions writes
-/// (each pivot step owns disjoint `l_vals`/`u_vals`/`off_vals` ranges and
-/// is claimed by exactly one worker through an atomic cursor) and orders
-/// reads (a step only reads `L` columns of strictly lower levels,
-/// separated by a [`std::sync::Barrier`], which gives the happens-before
-/// edge; off-diagonal values are never read during a refactorization).
+/// SAFETY: one thread owns the factor for the whole replay — the pointers
+/// are taken from `&mut` value arrays and used only by the replay loop
+/// that holds that borrow.
 struct FactorValuePtrs<S> {
     l: *mut S,
     u: *mut S,
     off: *mut S,
-    /// Dense supernode panel storage (empty when no plan is active). A
-    /// supernode's panel region is written only by the worker that owns
-    /// that supernode, so the same disjointness argument applies.
+    /// Dense supernode panel storage (empty when no plan is active).
     panels: *mut S,
 }
-
-// SAFETY: `*mut S` is not `Sync` by default because unsynchronized shared
-// writes through aliasing pointers are UB. Sharing `&FactorValuePtrs`
-// across refactor workers is nevertheless sound because the accesses never
-// alias or race (see the struct docs above): the level schedule partitions
-// writes and the barriers order cross-level reads. The `S: Send` bound is
-// required — workers write `S` values into arrays owned (and later read)
-// by the coordinating thread, which is exactly a cross-thread transfer of
-// `S`. No `&S` is ever shared between threads through these pointers, so
-// `S: Sync` is not needed (in practice `S` is `f32`/`f64` and has both).
-unsafe impl<S: Send> Sync for FactorValuePtrs<S> {}
 
 /// Shared prologue of the scalar and blocked replay steps: zeroes the
 /// workspace over step `k`'s factorized pattern (and its off-diagonal
@@ -282,9 +243,7 @@ unsafe fn finish_step_column<S: LuScalar>(
 /// step's off-diagonal slots (rows pivoted in earlier blocks), applies the
 /// updates of every off-diagonal step in `U(:, k)` in ascending
 /// (topological) order, checks the frozen pivot and writes this step's `U`
-/// and `L` value segments. The arithmetic is identical for every
-/// scheduling, which is why the serial and parallel refactorizations agree
-/// bit-for-bit.
+/// and `L` value segments.
 ///
 /// # Safety
 ///
@@ -292,9 +251,8 @@ unsafe fn finish_step_column<S: LuScalar>(
 /// `sym.u_rows.len()` / `sym.off_rows.len()` elements. The caller must
 /// guarantee that (a) no other thread concurrently accesses step `k`'s
 /// `L`/`U`/off value ranges, and (b) the `L` values of every dependency
-/// step in `U(:, k)` were fully written before this call, with a
-/// happens-before edge (program order serially, a level barrier in
-/// parallel) making those writes visible.
+/// step in `U(:, k)` were fully written before this call (program order:
+/// the replay runs the steps ascending on one thread).
 #[allow(clippy::too_many_arguments)]
 unsafe fn refactor_step<S: LuScalar>(
     sym: &SymbolicLu,
@@ -470,18 +428,17 @@ unsafe fn refactor_step_blocked<S: LuScalar>(
     Ok(())
 }
 
-/// Replays one whole supernode — the work unit of the supernodal replay
-/// (serial loop or one parallel claim): zeroes the panel region (so padded
-/// cells are exact zeros) and runs the member columns in order, blocked
-/// for multi-column supernodes, scalar for singletons.
+/// Replays one whole supernode — the work unit of the supernodal replay:
+/// zeroes the panel region (so padded cells are exact zeros) and runs the
+/// member columns in order, blocked for multi-column supernodes, scalar
+/// for singletons.
 ///
 /// # Safety
 ///
 /// As [`refactor_step_blocked`], with contract (a) covering the
 /// supernode's entire step range and panel region, and contract (b)
-/// covering every *external* dependency supernode (the level schedule in
-/// [`SupernodePlan::level_sns`] guarantees external sources finish in
-/// strictly earlier levels).
+/// covering every *external* dependency supernode (supernodes replay in
+/// ascending order, and every external source precedes its dependents).
 #[allow(clippy::too_many_arguments)]
 unsafe fn refactor_supernode<S: LuScalar>(
     sym: &SymbolicLu,
@@ -512,14 +469,12 @@ unsafe fn refactor_supernode<S: LuScalar>(
 }
 
 /// Routes a numeric replay to the supernodal or per-column path (per the
-/// symbolic plan) and to the serial or level-parallel schedule (per
-/// `threads`), generic over the stored scalar.
+/// symbolic plan), generic over the stored scalar.
 fn refactor_dispatch<S: WsScalar>(
     sym: &Arc<SymbolicLu>,
     va: &mut ValueArrays<S>,
     a: &CscMatrix,
     ws: &mut LuWorkspace,
-    threads: usize,
 ) -> Result<(), LinalgError> {
     match sym.blocked_plan() {
         Some(plan) => {
@@ -527,26 +482,16 @@ fn refactor_dispatch<S: WsScalar>(
             // fully successful supernodal pass leaves them coherent with
             // the column arrays again.
             va.panels_valid = false;
-            if threads <= 1 {
-                refactor_sn_serial(sym, plan, va, a, ws)?;
-            } else {
-                refactor_sn_parallel(sym, plan, va, a, ws, threads)?;
-            }
+            refactor_sn_serial(sym, plan, va, a, ws)?;
             va.panels_valid = true;
             Ok(())
         }
-        None => {
-            if threads <= 1 {
-                refactor_serial_vals(sym, va, a, ws)
-            } else {
-                refactor_parallel_vals(sym, va, a, ws, threads)
-            }
-        }
+        None => refactor_serial_vals(sym, va, a, ws),
     }
 }
 
-/// Serial per-column numeric replay in pivot-step order (the reference
-/// path, used when supernode detection is disabled or finds no blocks).
+/// Per-column numeric replay in pivot-step order (the reference path,
+/// used when supernode detection is disabled or finds no blocks).
 fn refactor_serial_vals<S: WsScalar>(
     sym: &SymbolicLu,
     va: &mut ValueArrays<S>,
@@ -564,8 +509,8 @@ fn refactor_serial_vals<S: WsScalar>(
     Ok(())
 }
 
-/// Serial supernodal numeric replay: supernodes in order, each replayed
-/// with the blocked kernels of [`refactor_supernode`].
+/// Supernodal numeric replay: supernodes in order, each replayed with the
+/// blocked kernels of [`refactor_supernode`].
 fn refactor_sn_serial<S: WsScalar>(
     sym: &SymbolicLu,
     plan: &SupernodePlan,
@@ -584,208 +529,6 @@ fn refactor_sn_serial<S: WsScalar>(
     Ok(())
 }
 
-/// Level-scheduled parallel per-column replay: the wide leaf-ward levels
-/// of the elimination schedule are distributed over `threads` workers
-/// (columns claimed through per-level atomic cursors, a barrier
-/// between levels), and the narrow root-ward tail — where coordination
-/// would cost more than the work — replays serially on the caller.
-fn refactor_parallel_vals<S: WsScalar>(
-    sym: &SymbolicLu,
-    va: &mut ValueArrays<S>,
-    a: &CscMatrix,
-    ws: &mut LuWorkspace,
-    threads: usize,
-) -> Result<(), LinalgError> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Barrier, Mutex};
-
-    let n = sym.n;
-    ws.reset::<S>(n);
-    // Parallel prefix: levels wide enough to amortize the per-level
-    // barrier. Widths are (near-)monotone decreasing for elimination
-    // schedules — leaves are plentiful, roots are not — so stopping at
-    // the first narrow level captures essentially all parallel work
-    // while bounding the number of barriers.
-    let min_width = (2 * threads).max(8);
-    let ex = sym.extras();
-    let par_levels = (0..sym.level_count())
-        .take_while(|&l| sym.level_steps(l).len() >= min_width)
-        .count();
-    let ptrs = va.ptrs();
-    if par_levels > 0 {
-        while ws.workers.len() < threads {
-            ws.workers.push(Mutex::new(WorkerScratch::default()));
-        }
-        let cursors: Vec<AtomicUsize> = (0..par_levels).map(|_| AtomicUsize::new(0)).collect();
-        let barrier = Barrier::new(threads);
-        let failed = AtomicBool::new(false);
-        let first_err: Mutex<Option<LinalgError>> = Mutex::new(None);
-        let (ptrs_ref, workers) = (&ptrs, &ws.workers);
-        rayon::broadcast(threads, |tid| {
-            // Uncontended by construction: slot `tid` belongs to this
-            // worker alone.
-            let mut scratch = workers[tid]
-                .lock()
-                .expect("invariant: worker-scratch lock is never poisoned");
-            let (x, stamp, off_stamp, off_slot) = S::worker_parts(&mut scratch);
-            x.clear();
-            x.resize(n, S::ZERO);
-            stamp.clear();
-            stamp.resize(n, usize::MAX);
-            off_stamp.clear();
-            off_stamp.resize(n, usize::MAX);
-            off_slot.clear();
-            off_slot.resize(n, 0);
-            for (lev, cursor) in cursors.iter().enumerate() {
-                if !failed.load(Ordering::Acquire) {
-                    let (lo, hi) = (ex.level_ptr[lev], ex.level_ptr[lev + 1]);
-                    loop {
-                        let i = lo + cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= hi {
-                            break;
-                        }
-                        let k = ex.level_cols[i];
-                        // SAFETY: the cursor hands each step to exactly
-                        // one worker (disjoint value ranges), and every
-                        // dependency lives in a lower level, finished
-                        // before the previous barrier.
-                        let res = unsafe {
-                            refactor_step(sym, a, k, x, stamp, off_stamp, off_slot, ptrs_ref)
-                        };
-                        if let Err(e) = res {
-                            first_err
-                                .lock()
-                                .expect("invariant: refactor error-slot lock is never poisoned")
-                                .get_or_insert(e);
-                            failed.store(true, Ordering::Release);
-                            break;
-                        }
-                    }
-                }
-                // Level barrier: the next level reads these L columns.
-                // Reached unconditionally so every worker counts the
-                // same number of waits even after a failure.
-                barrier.wait();
-            }
-        });
-        if let Some(e) = first_err
-            .into_inner()
-            .expect("invariant: refactor error-slot lock is never poisoned")
-        {
-            return Err(e);
-        }
-    }
-    // Serial tail in level order — a valid elimination order, since a
-    // level only reads strictly lower levels.
-    let (x, stamp, off_stamp, off_slot) = S::ws_parts(ws);
-    for &k in &ex.level_cols[ex.level_ptr[par_levels]..] {
-        // SAFETY: the broadcast above has joined (its writes are
-        // visible) and this thread is now the only one touching the
-        // factor.
-        unsafe { refactor_step(sym, a, k, x, stamp, off_stamp, off_slot, &ptrs)? };
-    }
-    Ok(())
-}
-
-/// Level-scheduled parallel supernodal replay: identical coordination
-/// shape to [`refactor_parallel_vals`], but the unit of work claimed from
-/// each level cursor is a whole supernode (replayed blocked), fanning the
-/// PR 3 level schedule out over panels instead of single columns.
-fn refactor_sn_parallel<S: WsScalar>(
-    sym: &SymbolicLu,
-    plan: &SupernodePlan,
-    va: &mut ValueArrays<S>,
-    a: &CscMatrix,
-    ws: &mut LuWorkspace,
-    threads: usize,
-) -> Result<(), LinalgError> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-    use std::sync::{Barrier, Mutex};
-
-    let n = sym.n;
-    ws.reset::<S>(n);
-    let min_width = (2 * threads).max(8);
-    let par_levels = (0..plan.level_count())
-        .take_while(|&l| {
-            let (lo, hi) = (plan.level_ptr[l], plan.level_ptr[l + 1]);
-            hi - lo >= min_width
-        })
-        .count();
-    let ptrs = va.ptrs();
-    if par_levels > 0 {
-        while ws.workers.len() < threads {
-            ws.workers.push(Mutex::new(WorkerScratch::default()));
-        }
-        let cursors: Vec<AtomicUsize> = (0..par_levels).map(|_| AtomicUsize::new(0)).collect();
-        let barrier = Barrier::new(threads);
-        let failed = AtomicBool::new(false);
-        let first_err: Mutex<Option<LinalgError>> = Mutex::new(None);
-        let (ptrs_ref, workers) = (&ptrs, &ws.workers);
-        rayon::broadcast(threads, |tid| {
-            let mut scratch = workers[tid]
-                .lock()
-                .expect("invariant: worker-scratch lock is never poisoned");
-            let (x, stamp, off_stamp, off_slot) = S::worker_parts(&mut scratch);
-            x.clear();
-            x.resize(n, S::ZERO);
-            stamp.clear();
-            stamp.resize(n, usize::MAX);
-            off_stamp.clear();
-            off_stamp.resize(n, usize::MAX);
-            off_slot.clear();
-            off_slot.resize(n, 0);
-            for (lev, cursor) in cursors.iter().enumerate() {
-                if !failed.load(Ordering::Acquire) {
-                    let (lo, hi) = (plan.level_ptr[lev], plan.level_ptr[lev + 1]);
-                    loop {
-                        let i = lo + cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= hi {
-                            break;
-                        }
-                        let sn = plan.level_sns[i];
-                        // SAFETY: the cursor hands each supernode (its
-                        // value and panel ranges are disjoint from every
-                        // other supernode's) to exactly one worker, and
-                        // every external dependency supernode lives in a
-                        // lower level, finished before the previous
-                        // barrier.
-                        let res = unsafe {
-                            refactor_supernode(
-                                sym, plan, a, sn, x, stamp, off_stamp, off_slot, ptrs_ref,
-                            )
-                        };
-                        if let Err(e) = res {
-                            first_err
-                                .lock()
-                                .expect("invariant: refactor error-slot lock is never poisoned")
-                                .get_or_insert(e);
-                            failed.store(true, Ordering::Release);
-                            break;
-                        }
-                    }
-                }
-                barrier.wait();
-            }
-        });
-        if let Some(e) = first_err
-            .into_inner()
-            .expect("invariant: refactor error-slot lock is never poisoned")
-        {
-            return Err(e);
-        }
-    }
-    // Serial tail in level order — a valid elimination order, since a
-    // level only reads strictly lower levels.
-    let (x, stamp, off_stamp, off_slot) = S::ws_parts(ws);
-    for &sn in &plan.level_sns[plan.level_ptr[par_levels]..] {
-        // SAFETY: the broadcast above has joined (its writes are
-        // visible) and this thread is now the only one touching the
-        // factor.
-        unsafe { refactor_supernode(sym, plan, a, sn, x, stamp, off_stamp, off_slot, &ptrs)? };
-    }
-    Ok(())
-}
-
 /// Column-ordering strategy for [`SparseLu`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ColumnOrdering {
@@ -795,20 +538,16 @@ pub enum ColumnOrdering {
     /// [`ColumnOrdering::Amd`] as the production ordering; kept as the
     /// exact-degree oracle and for fill comparisons.
     MinDegree,
-    /// Reverse Cuthill–McKee.
-    Rcm,
     /// Approximate minimum degree on a quotient graph (supervariables,
     /// element absorption, approximate external degrees) — see
     /// [`amd_ordering`](crate::amd_ordering).
     Amd,
     /// Block-triangular form (maximum transversal + Tarjan SCC) with an
     /// independent AMD ordering per diagonal block. The factorization
-    /// never fills below a diagonal block, each block factors as its own
-    /// matrix, and the elimination-level schedule parallelizes across
-    /// uncoupled blocks for free. See
-    /// [`amd_btf_ordering`](crate::amd_btf_ordering). The default through
-    /// PR 5, kept as the pure-AMD baseline for fill comparisons against
-    /// [`ColumnOrdering::AmdBtfNd`].
+    /// never fills below a diagonal block and each block factors as its own
+    /// matrix. See [`amd_btf_ordering`](crate::amd_btf_ordering). The
+    /// default through PR 5, kept as the pure-AMD baseline for fill
+    /// comparisons against [`ColumnOrdering::AmdBtfNd`].
     AmdBtf,
     /// Nested dissection on the whole symmetrized pattern: recursive
     /// bisection with vertex separators numbered last, AMD on leaf
@@ -868,10 +607,11 @@ impl Default for SparseLuOptions {
 }
 
 /// Reusable scratch for the numeric factorization replay
-/// ([`SparseLu::refactor_with`]): an `n`-sized workspace vector and a stamp
-/// array. Hot loops (a template fanning out numeric refactorizations per
-/// batch member, a session refactoring every few hundred time steps) keep
-/// one per thread so the replay allocates nothing.
+/// ([`SparseLu::refactor_with`]): an `n`-sized workspace vector and its
+/// stamp arrays, plus the buffers of the refined solves. Hot loops (a
+/// template fanning out numeric refactorizations per batch member, a
+/// session refactoring every few hundred time steps) keep one per thread
+/// so the replay allocates nothing.
 #[derive(Debug, Default)]
 pub struct LuWorkspace {
     x: Vec<f64>,
@@ -888,23 +628,6 @@ pub struct LuWorkspace {
     rwork: Vec<f64>,
     resid: Vec<f64>,
     corr: Vec<f64>,
-    /// Per-worker scratch of the parallel replay, lazily grown to the
-    /// worker count on first parallel refactor and reused afterwards, so
-    /// repeated parallel replays allocate nothing either. Behind mutexes
-    /// only so the broadcast closure can hand each worker its slot; every
-    /// lock is uncontended (slot `tid` is touched by worker `tid` alone).
-    workers: Vec<std::sync::Mutex<WorkerScratch>>,
-}
-
-/// One parallel-replay worker's private scratch; see
-/// [`LuWorkspace::workers`].
-#[derive(Debug, Default)]
-struct WorkerScratch {
-    x: Vec<f64>,
-    x32: Vec<f32>,
-    stamp: Vec<usize>,
-    off_stamp: Vec<usize>,
-    off_slot: Vec<usize>,
 }
 
 /// Workspace scratch borrowed for one replay: the scalar-typed value
@@ -923,7 +646,6 @@ type ScratchParts<'a, S> = (
 /// vector and the stamps simultaneously.
 trait WsScalar: LuScalar {
     fn ws_parts(ws: &mut LuWorkspace) -> ScratchParts<'_, Self>;
-    fn worker_parts(w: &mut WorkerScratch) -> ScratchParts<'_, Self>;
 }
 
 impl WsScalar for f64 {
@@ -934,9 +656,6 @@ impl WsScalar for f64 {
             &mut ws.off_stamp,
             &mut ws.off_slot,
         )
-    }
-    fn worker_parts(w: &mut WorkerScratch) -> ScratchParts<'_, Self> {
-        (&mut w.x, &mut w.stamp, &mut w.off_stamp, &mut w.off_slot)
     }
 }
 
@@ -949,15 +668,12 @@ impl WsScalar for f32 {
             &mut ws.off_slot,
         )
     }
-    fn worker_parts(w: &mut WorkerScratch) -> ScratchParts<'_, Self> {
-        (&mut w.x32, &mut w.stamp, &mut w.off_stamp, &mut w.off_slot)
-    }
 }
 
 impl Clone for LuWorkspace {
     fn clone(&self) -> Self {
-        // Worker scratch is transient per-refactor state; a clone starts
-        // with an empty pool.
+        // The refined-solve buffers are transient per-call scratch; a
+        // clone starts without them.
         LuWorkspace {
             x: self.x.clone(),
             x32: self.x32.clone(),
@@ -967,7 +683,6 @@ impl Clone for LuWorkspace {
             rwork: Vec::new(),
             resid: Vec::new(),
             corr: Vec::new(),
-            workers: Vec::new(),
         }
     }
 }
@@ -1118,14 +833,10 @@ pub struct SymbolicLu {
     /// factorizations.
     pub(crate) off_ptr: Vec<usize>,
     pub(crate) off_rows: Vec<usize>,
-    /// Scheduling/reach structures derived from the pattern, built lazily
-    /// on first use (parallel refactorization or sparse-RHS solves) so a
-    /// plain factor + serial-refactor + dense-solve workflow pays nothing
-    /// for them.
+    /// Reach structures derived from the pattern, built lazily on first
+    /// sparse-RHS solve so a plain factor + refactor + dense-solve
+    /// workflow pays nothing for them.
     pub(crate) extras: std::sync::OnceLock<SymbolicExtras>,
-    /// Entry writes plus multiply-adds of one numeric replay (see
-    /// [`SymbolicLu::replay_work`]), measured once from the pattern.
-    pub(crate) replay_work: usize,
     /// Pivot zero-tolerance carried from the factorization options so every
     /// numeric replay applies the same singularity test.
     pub(crate) zero_tol: f64,
@@ -1142,7 +853,7 @@ pub struct SymbolicLu {
     pub(crate) sn_plan: std::sync::OnceLock<Option<SupernodePlan>>,
 }
 
-/// Derived symbolic structures for the parallel and sparse-RHS paths; see
+/// Derived symbolic structures for the sparse-RHS solves; see
 /// [`SymbolicLu::extras`].
 #[derive(Debug)]
 pub(crate) struct SymbolicExtras {
@@ -1162,19 +873,6 @@ pub(crate) struct SymbolicExtras {
     pub(crate) ut_ptr: Vec<usize>,
     pub(crate) ut_steps: Vec<usize>,
     pub(crate) ut_vals_idx: Vec<usize>,
-    /// Elimination-tree parent per pivot step (`NO_PIVOT` for roots):
-    /// `etree[s]` is the *first* later step whose column update reads step
-    /// `s`'s `L` column, i.e. `min { k > s : U(s, k) ≠ 0 structurally }`.
-    pub(crate) etree: Vec<usize>,
-    /// Dependency level of each step: `0` for columns with no off-diagonal
-    /// `U` entries (elimination-tree leaves), otherwise one more than the
-    /// deepest step the column's replay reads. Steps of equal level are
-    /// mutually independent, which is what the parallel refactorization
-    /// schedules on.
-    pub(crate) level_ptr: Vec<usize>,
-    /// Steps grouped by level (ascending step order within each level):
-    /// level `l` is `level_cols[level_ptr[l]..level_ptr[l + 1]]`.
-    pub(crate) level_cols: Vec<usize>,
 }
 
 impl SymbolicLu {
@@ -1267,55 +965,6 @@ impl SymbolicLu {
         self.pinv[row]
     }
 
-    /// Elimination-tree parent of pivot step `step`, or `None` for a root:
-    /// the first later step whose numeric replay reads this step's `L`
-    /// column.
-    pub fn etree_parent(&self, step: usize) -> Option<usize> {
-        match self.extras().etree[step] {
-            NO_PIVOT => None,
-            p => Some(p),
-        }
-    }
-
-    /// Number of dependency levels in the elimination schedule (the
-    /// critical-path length of a refactorization; `n` independent columns
-    /// give 1, a dense chain gives `n`).
-    pub fn level_count(&self) -> usize {
-        self.extras().level_ptr.len() - 1
-    }
-
-    /// The pivot steps of dependency level `level`, ascending. Steps within
-    /// one level never read each other's factor columns, so a numeric
-    /// replay may run them in any order — or concurrently.
-    pub fn level_steps(&self, level: usize) -> &[usize] {
-        let ex = self.extras();
-        &ex.level_cols[ex.level_ptr[level]..ex.level_ptr[level + 1]]
-    }
-
-    /// Work of one numeric replay over this plan: every stored `L`/`U`
-    /// entry written once, plus one multiply-add per `L` entry of each
-    /// dependency column a step's update reads. It is the quantity
-    /// [`RefactorStrategy::Auto`] compares against
-    /// [`SparseLu::PAR_REPLAY_WORK`].
-    pub fn replay_work(&self) -> usize {
-        self.replay_work
-    }
-
-    /// Replay work of the pattern `l_ptr`/`u_ptr`/`u_rows` (the diagonal
-    /// is stored last in each `U` column).
-    fn measure_replay_work(l_ptr: &[usize], u_ptr: &[usize], u_rows: &[usize]) -> usize {
-        let l_len = |s: usize| l_ptr[s + 1] - l_ptr[s];
-        let updates: usize = (0..u_ptr.len() - 1)
-            .map(|k| {
-                u_rows[u_ptr[k]..u_ptr[k + 1] - 1]
-                    .iter()
-                    .map(|&s| l_len(s))
-                    .sum::<usize>()
-            })
-            .sum();
-        l_ptr[l_ptr.len() - 1] + u_rows.len() + updates
-    }
-
     /// Numeric precision of every factor built over this plan.
     pub fn precision(&self) -> Precision {
         self.precision
@@ -1361,13 +1010,12 @@ impl SymbolicLu {
         self.supernode_plan_raw().filter(|p| p.stats.multi > 0)
     }
 
-    /// The lazily-built scheduling/reach structures. Thread-safe: the
+    /// The lazily-built reach structures. Thread-safe: the
     /// symbolic plan is shared behind an `Arc` and the first caller (from
     /// any thread) builds, everyone else reuses.
     pub(crate) fn extras(&self) -> &SymbolicExtras {
         self.extras.get_or_init(|| {
             let n = self.n;
-            let (etree, level_ptr, level_cols) = Self::build_schedule(n, &self.u_ptr, &self.u_rows);
             let (ut_ptr, ut_steps, ut_vals_idx) =
                 Self::build_u_transpose(n, &self.u_ptr, &self.u_rows);
             let mut qinv = vec![0usize; n];
@@ -1381,52 +1029,8 @@ impl SymbolicLu {
                 ut_ptr,
                 ut_steps,
                 ut_vals_idx,
-                etree,
-                level_ptr,
-                level_cols,
             }
         })
-    }
-
-    /// Builds the elimination tree and the level schedule from the stored
-    /// `U` pattern. Column `k`'s replay reads the `L` column of every
-    /// off-diagonal step in `U(:, k)`, so that set is exactly the
-    /// dependency list; the level of `k` is one past the deepest
-    /// dependency, and the tree parent of `s` is its first dependent.
-    fn build_schedule(
-        n: usize,
-        u_ptr: &[usize],
-        u_rows: &[usize],
-    ) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
-        let mut etree = vec![NO_PIVOT; n];
-        let mut level = vec![0usize; n];
-        let mut max_level = 0usize;
-        for k in 0..n {
-            let mut lv = 0usize;
-            for &s in &u_rows[u_ptr[k]..u_ptr[k + 1] - 1] {
-                if etree[s] == NO_PIVOT {
-                    etree[s] = k;
-                }
-                lv = lv.max(level[s] + 1);
-            }
-            level[k] = lv;
-            max_level = max_level.max(lv);
-        }
-        let n_levels = if n == 0 { 0 } else { max_level + 1 };
-        let mut level_ptr = vec![0usize; n_levels + 1];
-        for &lv in &level {
-            level_ptr[lv + 1] += 1;
-        }
-        for l in 0..n_levels {
-            level_ptr[l + 1] += level_ptr[l];
-        }
-        let mut cursor = level_ptr.clone();
-        let mut level_cols = vec![0usize; n];
-        for (k, &lv) in level.iter().enumerate() {
-            level_cols[cursor[lv]] = k;
-            cursor[lv] += 1;
-        }
-        (etree, level_ptr, level_cols)
     }
 
     /// Builds the transposed off-diagonal `U` structure: for each step,
@@ -1616,16 +1220,7 @@ impl SparseLu {
     /// Minimum system size for the supernodal (panel) triangular solves.
     /// Below this, the panel gather costs more than the scalar
     /// substitution it replaces.
-    pub const PAR_COL_THRESHOLD: usize = 512;
-
-    /// Minimum [`SymbolicLu::replay_work`] for [`RefactorStrategy::Auto`]
-    /// to choose the parallel replay. Below it the whole serial pass takes
-    /// less time than waking the workers and crossing the level barriers:
-    /// the substrates of 3–6 side grids and small layered DAGs measure
-    /// under 5,000 and replay in 3–46 µs serially, against 40–115 µs in
-    /// parallel on two workers (two-core x86-64 host), while a 40×40 grid
-    /// substrate measures about 680,000.
-    pub const PAR_REPLAY_WORK: usize = 1 << 16;
+    pub const PANEL_SOLVE_MIN_DIM: usize = 512;
 
     /// Maximum number of right-hand-side lanes a single
     /// [`SparseLu::solve_multi_into`] traversal carries. Eight doubles per
@@ -1669,7 +1264,6 @@ impl SparseLu {
         } = match opts.ordering {
             ColumnOrdering::Natural => BlockOrdering::single_block((0..n).collect()),
             ColumnOrdering::MinDegree => BlockOrdering::single_block(min_degree_ordering(a)),
-            ColumnOrdering::Rcm => BlockOrdering::single_block(reverse_cuthill_mckee(a)),
             ColumnOrdering::Amd => BlockOrdering::single_block(amd_ordering(a)),
             ColumnOrdering::NestedDissection => {
                 BlockOrdering::single_block(nested_dissection_ordering(a))
@@ -1870,7 +1464,6 @@ impl SparseLu {
             off_ptr.push(off_rows.len());
         }
 
-        let replay_work = SymbolicLu::measure_replay_work(&l_ptr, &u_ptr, &u_rows);
         let sym = Arc::new(SymbolicLu {
             n,
             q,
@@ -1884,7 +1477,6 @@ impl SparseLu {
             off_ptr,
             off_rows,
             extras: std::sync::OnceLock::new(),
-            replay_work,
             zero_tol: opts.zero_tolerance,
             precision: opts.precision,
             supernodal: opts.supernodal,
@@ -2013,11 +1605,8 @@ impl SparseLu {
 
     /// [`SparseLu::refactor`] with caller-provided scratch, so repeated
     /// numeric replays (per-step rebases, template fan-outs) allocate
-    /// nothing — the workspace also pools the per-worker scratch of the
-    /// parallel path, which only a small per-call scheduling vector (one
-    /// cursor per parallel level) escapes. Uses [`RefactorStrategy::Auto`]
-    /// scheduling: large systems replay their elimination levels in
-    /// parallel when worker threads are available.
+    /// nothing. The replay runs serially on the calling thread, in
+    /// pivot-step (or supernode) order.
     ///
     /// # Errors
     ///
@@ -2026,26 +1615,6 @@ impl SparseLu {
         &mut self,
         a: &CscMatrix,
         ws: &mut LuWorkspace,
-    ) -> Result<(), LinalgError> {
-        self.refactor_with_strategy(a, ws, RefactorStrategy::Auto)
-    }
-
-    /// [`SparseLu::refactor_with`] with explicit scheduling control. The
-    /// serial and parallel paths run the identical per-column arithmetic
-    /// (`refactor_step`) against the same frozen ordering, pattern and
-    /// pivot sequence, so their results are bit-for-bit equal — the
-    /// strategy only chooses how the independent columns of each
-    /// elimination level are distributed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SparseLu::refactor`]. On error (from any worker) the
-    /// factor values are partially overwritten and must not be used.
-    pub fn refactor_with_strategy(
-        &mut self,
-        a: &CscMatrix,
-        ws: &mut LuWorkspace,
-        strategy: RefactorStrategy,
     ) -> Result<(), LinalgError> {
         if a.rows() != a.cols() {
             return Err(LinalgError::NotSquare {
@@ -2059,19 +1628,8 @@ impl SparseLu {
                 found: a.cols(),
             });
         }
-        let threads = match strategy {
-            RefactorStrategy::Serial => 1,
-            RefactorStrategy::Parallel { threads } => threads.max(1),
-            RefactorStrategy::Auto => {
-                if self.sym.replay_work >= Self::PAR_REPLAY_WORK && !rayon::in_worker() {
-                    rayon::current_num_threads()
-                } else {
-                    1
-                }
-            }
-        };
         let sym = Arc::clone(&self.sym);
-        with_vals_mut!(self, va => refactor_dispatch(&sym, va, a, ws, threads))?;
+        with_vals_mut!(self, va => refactor_dispatch(&sym, va, a, ws))?;
         crate::verify::debug_auto_audit!(self.audit_values());
         Ok(())
     }
@@ -2130,7 +1688,7 @@ impl SparseLu {
         // the per-entry order the sparse-RHS solves replicate, preserving
         // their bit-identical contract, and the panel gather wouldn't pay
         // for itself anyway.
-        let plan = if va.panels_valid && sym.n >= Self::PAR_COL_THRESHOLD {
+        let plan = if va.panels_valid && sym.n >= Self::PANEL_SOLVE_MIN_DIM {
             sym.blocked_plan()
         } else {
             None
@@ -2362,7 +1920,7 @@ impl SparseLu {
                 found: b.len(),
             });
         }
-        let plan = if va.panels_valid && sym.n >= Self::PAR_COL_THRESHOLD {
+        let plan = if va.panels_valid && sym.n >= Self::PANEL_SOLVE_MIN_DIM {
             sym.blocked_plan()
         } else {
             None
@@ -3370,11 +2928,7 @@ mod tests {
         let b = [1.0, 2.0, 3.0, 4.0, 5.0];
         let csc = t.to_csc();
         let xref = solve_dense_reference(&t, &b);
-        for ord in [
-            ColumnOrdering::Natural,
-            ColumnOrdering::MinDegree,
-            ColumnOrdering::Rcm,
-        ] {
+        for ord in [ColumnOrdering::Natural, ColumnOrdering::MinDegree] {
             let opts = SparseLuOptions {
                 ordering: ord,
                 ..Default::default()
@@ -3553,11 +3107,7 @@ mod tests {
         let a1 = fill(&|_| 1.0);
         // Perturb every entry differently so any skipped update shows up.
         let a2 = fill(&|i| 1.0 + 0.1 * (i as f64 + 1.0));
-        for ordering in [
-            ColumnOrdering::Natural,
-            ColumnOrdering::MinDegree,
-            ColumnOrdering::Rcm,
-        ] {
+        for ordering in [ColumnOrdering::Natural, ColumnOrdering::MinDegree] {
             let opts = SparseLuOptions {
                 ordering,
                 ..Default::default()
@@ -3715,75 +3265,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn etree_and_level_schedule_are_consistent() {
-        let lu = SparseLu::factor(&grid_laplacian(9).to_csc()).unwrap();
-        let sym = lu.symbolic();
-        let n = sym.dim();
-        // Levels partition the steps, dependencies live in strictly lower
-        // levels, and the etree parent is a dependent of its child.
-        let mut level_of = vec![usize::MAX; n];
-        let mut seen = 0usize;
-        for l in 0..sym.level_count() {
-            for &k in sym.level_steps(l) {
-                assert_eq!(level_of[k], usize::MAX, "step {k} scheduled twice");
-                level_of[k] = l;
-                seen += 1;
-            }
-        }
-        assert_eq!(seen, n);
-        let mut roots = 0usize;
-        for s in 0..n {
-            match sym.etree_parent(s) {
-                Some(p) => {
-                    assert!(p > s, "parent {p} not after child {s}");
-                    assert!(level_of[p] > level_of[s], "parent not deeper");
-                }
-                None => roots += 1,
-            }
-        }
-        assert!(roots >= 1, "the last step is always a root");
-        // A grid has plenty of independent leaf columns: real parallelism.
-        assert!(sym.level_steps(0).len() > 4);
-        assert!(sym.level_count() > 1);
-    }
-
-    #[test]
-    fn parallel_refactor_matches_serial_bitwise() {
-        let side = 12;
-        let a1 = grid_laplacian(side).to_csc();
-        // Same pattern, shifted values.
-        let mut t2 = grid_laplacian(side);
-        for i in 0..side * side {
-            t2.push(i, i, 0.25 + (i % 7) as f64 * 0.125);
-        }
-        let a2 = t2.to_csc();
-        let base = SparseLu::factor(&a1).unwrap();
-        let mut ws = LuWorkspace::new();
-        let b: Vec<f64> = (0..a1.cols()).map(|i| (i as f64 * 0.13).sin()).collect();
-        let mut serial = base.clone();
-        serial
-            .refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Serial)
-            .unwrap();
-        let x_serial = serial.solve(&b).unwrap();
-        for threads in [2usize, 3, 5] {
-            let mut par = base.clone();
-            par.refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Parallel { threads })
-                .unwrap();
-            let x_par = par.solve(&b).unwrap();
-            // Identical per-column arithmetic => bit-identical factors.
-            assert_eq!(x_par, x_serial, "threads {threads}");
-        }
-    }
-
-    /// The aliasing argument behind `unsafe impl Sync for FactorValuePtrs`:
-    /// two OS threads refactor *sibling* numeric factors over one shared
-    /// `Arc<SymbolicLu>`, each internally level-parallel — so two worker
-    /// pools traverse the same symbolic arrays while writing disjoint
-    /// value arrays through raw pointers, concurrently. Under
-    /// Miri-visible aliasing (a write crossing factor boundaries, or a
-    /// read of another thread's in-progress level) the bit-exact match
-    /// against the serial oracle would fail.
+    /// The sharing `solve_many` fan-outs rely on: two OS threads refactor
+    /// *sibling* numeric factors over one shared `Arc<SymbolicLu>` — both
+    /// traverse the same symbolic arrays while writing their own value
+    /// arrays through raw pointers, concurrently. A write crossing factor
+    /// boundaries would break the bit-exact match against the
+    /// single-threaded oracles.
     #[test]
     fn concurrent_sibling_refactors_share_one_symbolic_plan() {
         let side = 12;
@@ -3805,8 +3292,7 @@ mod tests {
             .map(|a| {
                 let mut lu = base.clone();
                 let mut ws = LuWorkspace::new();
-                lu.refactor_with_strategy(a, &mut ws, RefactorStrategy::Serial)
-                    .unwrap();
+                lu.refactor_with(a, &mut ws).unwrap();
                 lu.solve(&b).unwrap()
             })
             .collect();
@@ -3819,12 +3305,7 @@ mod tests {
                     let b = &b;
                     scope.spawn(move || {
                         let mut ws = LuWorkspace::new();
-                        lu.refactor_with_strategy(
-                            a,
-                            &mut ws,
-                            RefactorStrategy::Parallel { threads: 2 },
-                        )
-                        .unwrap();
+                        lu.refactor_with(a, &mut ws).unwrap();
                         lu.audit().unwrap();
                         lu.solve(b).unwrap()
                     })
@@ -3833,50 +3314,6 @@ mod tests {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         assert_eq!(results, oracles);
-    }
-
-    #[test]
-    fn parallel_refactor_detects_collapsed_pivot() {
-        let side = 8;
-        let a1 = grid_laplacian(side).to_csc();
-        let base = SparseLu::factor(&a1).unwrap();
-        // Scale everything to zero: every frozen pivot collapses.
-        let mut t2 = TripletMatrix::new(a1.rows(), a1.cols());
-        for c in 0..a1.cols() {
-            for (r, _) in a1.col(c) {
-                t2.push(r, c, 0.0);
-            }
-        }
-        let a2 = t2.to_csc();
-        let mut ws = LuWorkspace::new();
-        let mut par = base.clone();
-        assert!(matches!(
-            par.refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Parallel { threads: 3 }),
-            Err(LinalgError::Singular { .. })
-        ));
-    }
-
-    #[test]
-    fn parallel_refactor_rejects_new_pattern() {
-        let mut t = TripletMatrix::new(600, 600);
-        for i in 0..600 {
-            t.push(i, i, 2.0 + i as f64 * 1e-3);
-        }
-        for i in 0..599 {
-            t.push(i, i + 1, -0.5);
-            t.push(i + 1, i, -0.5);
-        }
-        let mut lu = SparseLu::factor(&t.to_csc()).unwrap();
-        t.push(0, 599, 1.0);
-        let mut ws = LuWorkspace::new();
-        assert!(matches!(
-            lu.refactor_with_strategy(
-                &t.to_csc(),
-                &mut ws,
-                RefactorStrategy::Parallel { threads: 4 }
-            ),
-            Err(LinalgError::PatternChanged { .. })
-        ));
     }
 
     #[test]
@@ -4014,61 +3451,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_strategy_is_correct_across_the_threshold() {
-        // Banded systems just below and above PAR_REPLAY_WORK: Auto must
-        // agree with Serial bit-for-bit wherever it lands.
-        let band = |n: usize, scale: f64| {
-            let mut t = TripletMatrix::new(n, n);
-            for i in 0..n {
-                t.push(i, i, 3.0 + scale * (i % 5) as f64);
-                if i + 1 < n {
-                    t.push(i, i + 1, -1.0);
-                    t.push(i + 1, i, -0.5 * scale);
-                }
-                if i + 7 < n {
-                    t.push(i + 7, i, 0.25);
-                }
-            }
-            t.to_csc()
-        };
-        let work = |n: usize| {
-            SparseLu::factor(&band(n, 1.0))
-                .unwrap()
-                .symbolic()
-                .replay_work()
-        };
-        // Replay work grows with n: bisect for the first n at the gate.
-        let (mut lo, mut hi) = (8, 16);
-        while work(hi) < SparseLu::PAR_REPLAY_WORK {
-            (lo, hi) = (hi, 2 * hi);
-        }
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if work(mid) < SparseLu::PAR_REPLAY_WORK {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        assert!(work(hi - 1) < SparseLu::PAR_REPLAY_WORK);
-        assert!(work(hi) >= SparseLu::PAR_REPLAY_WORK);
-        for n in [hi - 1, hi, hi + 3] {
-            let base = SparseLu::factor(&band(n, 1.0)).unwrap();
-            let a2 = band(n, 1.5);
-            let mut ws = LuWorkspace::new();
-            let mut auto = base.clone();
-            auto.refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Auto)
-                .unwrap();
-            let mut serial = base.clone();
-            serial
-                .refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Serial)
-                .unwrap();
-            let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).sin()).collect();
-            assert_eq!(auto.solve(&b).unwrap(), serial.solve(&b).unwrap(), "n {n}");
-        }
-    }
-
-    #[test]
     fn dimension_mismatch_on_solve() {
         let mut t = TripletMatrix::new(2, 2);
         t.push(0, 0, 1.0);
@@ -4173,13 +3555,12 @@ mod tests {
     fn multiblock_refactor_replays_off_values() {
         let t = three_block_system(1.0);
         let a = t.to_csc();
-        let base = SparseLu::factor(&a).unwrap();
-        assert!(base.symbolic().block_count() > 1);
+        let mut lu = SparseLu::factor(&a).unwrap();
+        assert!(lu.symbolic().block_count() > 1);
         // Same pattern, different values (off entries included).
         let t2 = three_block_system(1.5);
         let a2 = t2.to_csc();
         let mut ws = LuWorkspace::new();
-        let mut lu = base.clone();
         lu.refactor_with(&a2, &mut ws).unwrap();
         let b: Vec<f64> = (0..9).map(|i| 1.0 + i as f64).collect();
         let x = lu.solve(&b).unwrap();
@@ -4187,13 +3568,5 @@ mod tests {
         for (xi, ri) in x.iter().zip(&x_ref) {
             assert!((xi - ri).abs() < 1e-12, "{xi} vs {ri}");
         }
-        // The parallel replay hits the off scatter from worker scratch;
-        // it must agree bitwise with the serial replay.
-        let mut lu_par = base.clone();
-        lu_par
-            .refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Parallel { threads: 3 })
-            .unwrap();
-        let x_par = lu_par.solve(&b).unwrap();
-        assert_eq!(x, x_par);
     }
 }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use ohmflow_linalg::{
-    min_degree_ordering, reverse_cuthill_mckee, ColumnOrdering, CscMatrix, DenseMatrix,
-    LowRankUpdate, RankOneTermRef, SparseLu, SparseLuOptions, TripletMatrix,
+    min_degree_ordering, ColumnOrdering, DenseMatrix, LowRankUpdate, RankOneTermRef, SparseLu,
+    SparseLuOptions, TripletMatrix,
 };
 
 /// A random diagonally-dominant sparse system (always solvable).
@@ -61,7 +61,7 @@ proptest! {
     fn every_ordering_solves_the_same_system((t, b) in arb_system(16)) {
         let csc = t.to_csc();
         let xref = dense_reference(&t, &b);
-        for ordering in [ColumnOrdering::Natural, ColumnOrdering::MinDegree, ColumnOrdering::Rcm] {
+        for ordering in [ColumnOrdering::Natural, ColumnOrdering::MinDegree] {
             let opts = SparseLuOptions { ordering, ..Default::default() };
             let x = SparseLu::factor_with(&csc, &opts).unwrap().solve(&b).unwrap();
             for (a, r) in x.iter().zip(&xref) {
@@ -73,14 +73,13 @@ proptest! {
     #[test]
     fn orderings_are_permutations((t, _b) in arb_system(24)) {
         let csc = t.to_csc();
-        for perm in [min_degree_ordering(&csc), reverse_cuthill_mckee(&csc)] {
-            let n = csc.cols();
-            let mut seen = vec![false; n];
-            prop_assert_eq!(perm.len(), n);
-            for &p in &perm {
-                prop_assert!(p < n && !seen[p]);
-                seen[p] = true;
-            }
+        let perm = min_degree_ordering(&csc);
+        let n = csc.cols();
+        let mut seen = vec![false; n];
+        prop_assert_eq!(perm.len(), n);
+        for &p in &perm {
+            prop_assert!(p < n && !seen[p]);
+            seen[p] = true;
         }
     }
 
@@ -178,135 +177,6 @@ fn same_pattern_variant(csc: &ohmflow_linalg::CscMatrix) -> ohmflow_linalg::CscM
         }
     }
     t2.to_csc()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// The level-scheduled parallel refactorization runs the identical
-    /// per-column arithmetic as the serial replay, so across random
-    /// systems and thread counts the two must agree to 1e-12 (they are in
-    /// fact bit-identical) and reuse the same column ordering and pivot
-    /// permutation.
-    #[test]
-    fn parallel_refactor_matches_serial(
-        (t, b) in arb_system(32),
-        threads in 2..5usize,
-    ) {
-        use ohmflow_linalg::{LuWorkspace, RefactorStrategy};
-        let csc = t.to_csc();
-        let base = SparseLu::factor(&csc).unwrap();
-        let csc2 = same_pattern_variant(&csc);
-        let mut ws = LuWorkspace::new();
-
-        let mut serial = base.clone();
-        serial.refactor_with_strategy(&csc2, &mut ws, RefactorStrategy::Serial).unwrap();
-        let mut par = base.clone();
-        par.refactor_with_strategy(&csc2, &mut ws, RefactorStrategy::Parallel { threads }).unwrap();
-
-        // Same elimination plan: identical column ordering and pivot rows.
-        prop_assert_eq!(serial.symbolic().col_order(), par.symbolic().col_order());
-        prop_assert_eq!(serial.symbolic().pivot_rows(), par.symbolic().pivot_rows());
-
-        let xs = serial.solve(&b).unwrap();
-        let xp = par.solve(&b).unwrap();
-        for (a, r) in xp.iter().zip(&xs) {
-            prop_assert!((a - r).abs() < 1e-12 * r.abs().max(1.0), "threads {threads}: {a} vs {r}");
-        }
-    }
-}
-
-/// The random-valued band of `auto_refactor_agrees_across_threshold_boundary`:
-/// couplings at distances 1, 5 and 19 under a row-dominant diagonal.
-/// `draw(range)` supplies each coupling (from `-0.8..0.8`) and each
-/// diagonal margin (from `1.0..2.0`).
-fn coupled_band(n: usize, mut draw: impl FnMut(std::ops::Range<f64>) -> f64) -> CscMatrix {
-    let mut t = TripletMatrix::new(n, n);
-    for i in 0..n {
-        let mut row_sum = 0.0;
-        for d in [1usize, 5, 19] {
-            if i + d < n {
-                let v = draw(-0.8..0.8);
-                t.push(i, i + d, v);
-                t.push(i + d, i, -v * 0.5);
-                row_sum += v.abs().max(v.abs() * 0.5);
-            }
-        }
-        t.push(i, i, 2.0 * row_sum + draw(1.0..2.0));
-    }
-    t.to_csc()
-}
-
-/// Four sizes of [`coupled_band`] around `SparseLu::PAR_REPLAY_WORK`, the
-/// `RefactorStrategy::Auto` gate: the two nearest below the gate and the
-/// two nearest above it. Replay work zig-zags with the size (the ordering
-/// pairs columns differently for odd and even sizes), so the sizes are
-/// found by bisecting for one crossing and stepping outwards from it.
-fn replay_gate_sizes() -> [usize; 4] {
-    static SIZES: std::sync::OnceLock<[usize; 4]> = std::sync::OnceLock::new();
-    *SIZES.get_or_init(|| {
-        let above = |n: usize| {
-            let a = coupled_band(n, |r| 0.5 * (r.start + r.end));
-            SparseLu::factor(&a).unwrap().symbolic().replay_work() >= SparseLu::PAR_REPLAY_WORK
-        };
-        let (mut lo, mut hi) = (32, 64);
-        while !above(hi) {
-            (lo, hi) = (hi, 2 * hi);
-        }
-        while hi - lo > 1 {
-            let mid = (lo + hi) / 2;
-            if above(mid) {
-                hi = mid;
-            } else {
-                lo = mid;
-            }
-        }
-        let below2 = (1..lo).rev().find(|&n| !above(n)).unwrap();
-        let above2 = (hi + 1..).find(|&n| above(n)).unwrap();
-        [below2, lo, hi, above2]
-    })
-}
-
-proptest! {
-    // Each case factors systems of several hundred columns; keep the
-    // count modest.
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// `RefactorStrategy::Auto` must be correct on both sides of the
-    /// serial-fallback gate (`SparseLu::PAR_REPLAY_WORK`): banded systems
-    /// straddling the boundary, random values, verified against the
-    /// always-serial path.
-    #[test]
-    fn auto_refactor_agrees_across_threshold_boundary(
-        offset in 0..4usize,
-        seed in any::<u64>(),
-    ) {
-        use ohmflow_linalg::{LuWorkspace, RefactorStrategy};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        let n = replay_gate_sizes()[offset];
-        let mut rng = StdRng::seed_from_u64(seed);
-        let band = |rng: &mut StdRng| coupled_band(n, |r| rng.gen_range(r));
-        let a1 = band(&mut rng);
-        let a2 = band(&mut rng);
-        let base = SparseLu::factor(&a1).unwrap();
-        prop_assert_eq!(
-            base.symbolic().replay_work() >= SparseLu::PAR_REPLAY_WORK,
-            offset >= 2,
-            "n {} lands on the wrong side of the gate", n
-        );
-        let mut ws = LuWorkspace::new();
-        let mut auto_lu = base.clone();
-        auto_lu.refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Auto).unwrap();
-        let mut serial = base.clone();
-        serial.refactor_with_strategy(&a2, &mut ws, RefactorStrategy::Serial).unwrap();
-        let b: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.37).sin()).collect();
-        let xa = auto_lu.solve(&b).unwrap();
-        let xs = serial.solve(&b).unwrap();
-        for (a, r) in xa.iter().zip(&xs) {
-            prop_assert!((a - r).abs() < 1e-12 * r.abs().max(1.0), "n {n}: {a} vs {r}");
-        }
-    }
 }
 
 proptest! {
@@ -514,7 +384,6 @@ proptest! {
         .unwrap();
         for ordering in [
             ColumnOrdering::MinDegree,
-            ColumnOrdering::Rcm,
             ColumnOrdering::Amd,
             ColumnOrdering::AmdBtf,
             ColumnOrdering::NestedDissection,
